@@ -5,7 +5,7 @@
        [--time-threshold PCT] [--alloc-threshold PCT]
 
    Compares the E2, E3, E5, E8, E9 and E10 records of CURRENT against
-   BASELINE (normally the committed BENCH_pr8.json trajectory point)
+   BASELINE (normally the latest committed BENCH_*.json trajectory point)
    and exits nonzero if any tracked metric regressed past its
    threshold. Improvements never fail. Every block iterates the
    BASELINE rows, so a baseline predating an experiment simply
@@ -251,7 +251,7 @@ let () =
   (* Deterministic-allocation rows; the deep-recursion closure rows are
      exempt (fiber-stack segment noise). *)
   let alloc_tracked = function
-    | "optimized interpreter" | "bytecode interpreter" | "generated parser"
+    | "optimized interpreter" | "generated parser"
     | "hand-written" ->
         true
     | _ -> false

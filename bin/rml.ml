@@ -104,7 +104,6 @@ let config_arg =
     | "naive" -> Ok Rats.Config.naive
     | "packrat" -> Ok Rats.Config.packrat
     | "optimized" -> Ok Rats.Config.optimized
-    | "vm" -> Ok Rats.Config.vm
     | s -> Error (`Msg (Printf.sprintf "unknown configuration %S" s))
   in
   Arg.(
@@ -113,27 +112,7 @@ let config_arg =
         (conv ((fun s -> conv_config s), fun ppf c -> Fmt.string ppf (Rats.Config.describe c)))
         Rats.Config.optimized
     & info [ "c"; "config" ] ~docv:"CONFIG"
-        ~doc:"Engine configuration: naive, packrat, optimized or vm.")
-
-let engine_arg =
-  let conv_engine = function
-    | "closure" -> Ok Rats.Config.Closure
-    | "vm" | "bytecode" -> Ok Rats.Config.Bytecode
-    | s -> Error (`Msg (Printf.sprintf "unknown engine %S" s))
-  in
-  Arg.(
-    value
-    & opt
-        (some
-           (conv
-              ( (fun s -> conv_engine s),
-                fun ppf b -> Fmt.string ppf (Rats.Config.backend_name b) )))
-        None
-    & info [ "e"; "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution back end: closure (a network of OCaml closures) or vm \
-           (flat bytecode with an explicit backtrack stack). Overrides the \
-           configuration's choice.")
+        ~doc:"Engine configuration: naive, packrat or optimized.")
 
 let load_modules files builtin =
   match (files, builtin) with
@@ -182,11 +161,6 @@ let load_modules files builtin =
 let read_input input =
   if input = "-" then In_channel.input_all In_channel.stdin
   else In_channel.with_open_bin input In_channel.input_all
-
-let apply_engine engine config =
-  match engine with
-  | None -> config
-  | Some b -> Rats.Config.with_backend b config
 
 let compose_from files builtin root start =
   match load_modules files builtin with
@@ -580,10 +554,8 @@ let parse_cmd =
              values and (under the optimized configurations) allocates a \
              constant number of bytes regardless of input size. Verdicts, \
              consumed bytes, error reports, exit codes and the memo/fuel \
-             --stats counters are identical to a normal parse (only the \
-             VM's instruction counter shrinks: the voidified program \
-             compiles fewer value instructions); the tree printed on \
-             success is (). Incompatible with --edits, whose reparses \
+             --stats counters are identical to a normal parse; the tree \
+             printed on success is (). Incompatible with --edits, whose reparses \
              exist to rebuild values.")
   in
   let stats_arg =
@@ -592,12 +564,6 @@ let parse_cmd =
   let quiet_arg =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Do not print the tree.")
   in
-  let trace_arg =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:"Print production enter/exit events (capped at 500 lines).")
-  in
   let fuel_arg =
     Arg.(
       value
@@ -605,8 +571,7 @@ let parse_cmd =
       & info [ "fuel" ] ~docv:"N"
           ~doc:
             "Abort after N production invocations (exit 4). Deterministic: \
-             the same input always trips at the same point, on either \
-             engine.")
+             the same input always trips at the same point.")
   in
   let max_depth_arg =
     Arg.(
@@ -633,7 +598,7 @@ let parse_cmd =
           ~doc:
             "Give up after roughly SECONDS of wall clock (exit 4). \
              Implemented signal-free by running with a bounded fuel slice \
-             and doubling it while time remains, so the engines stay \
+             and doubling it while time remains, so the engine stays \
              deterministic.")
   in
   let max_input_arg =
@@ -683,11 +648,11 @@ let parse_cmd =
           ~doc:
             "Inject deterministic faults into a --batch run (testing): a \
              comma-separated plan of seed=N, rate=F (fraction of documents \
-             hit, seeded per-document coin), trunc\\@K (truncate reads at K \
-             bytes), io\\@K (fail reads after K bytes), fuel\\@N / memo\\@N \
-             (cap those budgets so the governor trips), skew\\@NS (step the \
+             hit, seeded per-document coin), trunc@K (truncate reads at K \
+             bytes), io@K (fail reads after K bytes), fuel@N / memo@N (cap \
+             those budgets so the governor trips), skew@NS (step the \
              deadline clock by NS nanoseconds after arming). Example: \
-             'seed=7,rate=0.5,trunc\\@64,fuel\\@10000'.")
+             'seed=7,rate=0.5,trunc@64,fuel@10000'.")
   in
   let doc_timeout_arg =
     Arg.(
@@ -773,13 +738,13 @@ let parse_cmd =
       & info [ "stats-json" ]
           ~doc:
             "Print parse statistics as one JSON object (the machine-readable \
-             twin of --stats: same 14 counters, same order). Incompatible \
+             twin of --stats: same 12 counters, same order). Incompatible \
              with --batch, whose JSONL records carry their own counters.")
   in
-  let run files builtin root start optimize config engine fuel max_depth
-      max_memo max_input timeout input use_stdin mmap batch batch_sep
-      faults_spec doc_timeout recognize stats quiet trace edits profile ring
-      metrics_out trace_out progress stats_json =
+  let run files builtin root start optimize config fuel max_depth max_memo
+      max_input timeout input use_stdin mmap batch batch_sep faults_spec
+      doc_timeout recognize stats quiet edits profile ring metrics_out
+      trace_out progress stats_json =
     guarded @@ fun () ->
     (* Resolve where the document comes from before any heavy work, so
        usage mistakes exit 2 without compiling a grammar. *)
@@ -797,12 +762,12 @@ let parse_cmd =
       match batch with
       | Some _ -> (
           if
-            input <> None || use_stdin || mmap || edits <> None || trace
-            || profile || ring <> None || timeout <> None
+            input <> None || use_stdin || mmap || edits <> None || profile
+            || ring <> None || timeout <> None
           then
             input_err
               "--batch is incompatible with \
-               --input/--stdin/--mmap/--edits/--trace/--profile/--trace-ring/--timeout \
+               --input/--stdin/--mmap/--edits/--profile/--trace-ring/--timeout \
                (use --doc-timeout for per-document deadlines)"
           else if stats_json then
             input_err
@@ -846,7 +811,6 @@ let parse_cmd =
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           match (fuel, max_depth, max_memo, max_input) with
           | None, None, None, None -> config
@@ -893,10 +857,6 @@ let parse_cmd =
                 | None -> ())
             | None -> ()
         in
-        if trace && config.Rats.Config.backend = Rats.Config.Bytecode then
-          Fmt.epr "note: tracing runs on the closure engine@.";
-        if trace && (profile || ring <> None) then
-          Fmt.epr "note: --profile/--trace-ring are ignored with --trace@.";
         let g = if optimize then Rats.Pipeline.optimize g else g in
         (* Whole-grammar kind erasure, up front: everything downstream —
            engine preparation, --stats, exit codes — sees an ordinary
@@ -1074,7 +1034,6 @@ let parse_cmd =
             in
             match edits with
             | Some script ->
-                if trace then Fmt.epr "note: --trace is ignored with --edits@.";
                 (* Same buffer, session-conventional name. Zero-copy for
                    a mapped source until the first edit (CoW). *)
                 let session =
@@ -1202,30 +1161,7 @@ let parse_cmd =
                   in
                   go (min budget 65536)
             in
-            let outcome =
-              if trace then (
-                let shown = ref 0 in
-                let on_event (e : Rats.Engine.trace_event) =
-                  incr shown;
-                  if !shown <= 500 then
-                    Fmt.pr "%s%s %s @%d%s@."
-                      (String.make (min e.depth 40) ' ')
-                      (match e.outcome with
-                      | None -> ">"
-                      | Some p when p >= 0 -> "<"
-                      | Some _ -> "x")
-                      e.prod e.at
-                      (match e.outcome with
-                      | Some p when p >= 0 -> Printf.sprintf " -> %d" p
-                      | _ -> "")
-                  else if !shown = 501 then Fmt.pr "... (trace truncated)@."
-                in
-                Result.map (fun out -> (eng, out))
-                  (Rats.Engine.trace ~config ~on_event g
-                     (Rats.Source.text source)))
-              else run_governed ()
-            in
-            match outcome with
+            match run_governed () with
             | Error ds -> print_errors ds
             | Ok (eng_used, out) -> (
                 (if stats then
@@ -1247,10 +1183,10 @@ let parse_cmd =
   Cmd.v (Cmd.info "parse" ~doc:"Parse an input file with a composed grammar.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ fuel_arg $ max_depth_arg
-      $ max_memo_arg $ max_input_arg $ timeout_arg $ input_arg $ stdin_arg
-      $ mmap_arg $ batch_arg $ batch_sep_arg $ faults_arg $ doc_timeout_arg
-      $ recognize_arg $ stats_arg $ quiet_arg $ trace_arg $ edits_arg
+      $ optimize_arg $ config_arg $ fuel_arg $ max_depth_arg $ max_memo_arg
+      $ max_input_arg $ timeout_arg $ input_arg $ stdin_arg $ mmap_arg
+      $ batch_arg $ batch_sep_arg $ faults_arg $ doc_timeout_arg
+      $ recognize_arg $ stats_arg $ quiet_arg $ edits_arg
       $ profile_flag_arg $ trace_ring_arg $ metrics_arg $ trace_out_arg
       $ progress_arg $ stats_json_arg)
 
@@ -1289,13 +1225,12 @@ let profile_cmd =
              https://www.speedscope.app) or chrome (chrome://tracing and \
              Perfetto).")
   in
-  let run files builtin root start optimize config engine input top flame
+  let run files builtin root start optimize config input top flame
       flame_format =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           Rats.Config.with_observe
             { Rats.Observe.off with Rats.Observe.profile = true }
@@ -1360,7 +1295,7 @@ let profile_cmd =
           sorted cost table; optionally export a flamegraph.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ obs_input_arg $ top_arg
+      $ optimize_arg $ config_arg $ obs_input_arg $ top_arg
       $ flame_arg $ flame_format_arg)
 
 let trace_cmd =
@@ -1388,13 +1323,12 @@ let trace_cmd =
             "Abort after N production invocations (exit 4); the trip \
              lands as the final ring event.")
   in
-  let run files builtin root start optimize config engine fuel input ring last
+  let run files builtin root start optimize config fuel input ring last
       =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           match fuel with
           | None -> config
@@ -1441,7 +1375,7 @@ let trace_cmd =
           with source excerpts.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ fuel_arg $ obs_input_arg
+      $ optimize_arg $ config_arg $ fuel_arg $ obs_input_arg
       $ ring_arg $ last_arg)
 
 let coverage_cmd =
@@ -1461,12 +1395,11 @@ let coverage_cmd =
           ~doc:
             "Exit 1 when any production or alternative stays unexercised.")
   in
-  let run files builtin root start optimize config engine corpus strict =
+  let run files builtin root start optimize config corpus strict =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let config = apply_engine engine config in
         let config =
           Rats.Config.with_observe
             { Rats.Observe.off with Rats.Observe.coverage = true }
@@ -1523,31 +1456,7 @@ let coverage_cmd =
           each with its defining module.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg $ engine_arg $ corpus_arg $ strict_arg)
-
-let bytecode_cmd =
-  let run files builtin root start optimize config =
-    guarded @@ fun () ->
-    match compose_from files builtin root start with
-    | Error ds -> print_errors ds
-    | Ok g -> (
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        match Rats.Vm.prepare ~config g with
-        | Error ds -> print_errors ds
-        | Ok vm ->
-            Fmt.pr "; %d instructions, %d memo slots, %s@.%s"
-              (Rats.Vm.instruction_count vm)
-              (Rats.Vm.memo_slots vm)
-              (Rats.Config.describe (Rats.Vm.config vm))
-              (Rats.Vm.disassemble vm);
-            0)
-  in
-  Cmd.v
-    (Cmd.info "bytecode"
-       ~doc:"Compile the grammar to bytecode and print the disassembly.")
-    Term.(
-      const run $ files_arg $ builtin_arg $ root_arg $ start_arg
-      $ optimize_arg $ config_arg)
+      $ optimize_arg $ config_arg $ corpus_arg $ strict_arg)
 
 let generate_cmd =
   let out_arg =
@@ -1610,8 +1519,8 @@ let () =
       (Cmd.group info
          [
            modules_cmd; compose_cmd; optimize_cmd; passes_cmd; analyze_cmd;
-           parse_cmd; profile_cmd; trace_cmd; coverage_cmd; bytecode_cmd;
-           generate_cmd; fmt_cmd;
+           parse_cmd; profile_cmd; trace_cmd; coverage_cmd; generate_cmd;
+           fmt_cmd;
          ])
   in
   (* cmdliner reports CLI misuse as 124 and its own internal errors as

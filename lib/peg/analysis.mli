@@ -54,17 +54,16 @@ val expr_yields_unit : t -> Expr.t -> bool
 val stores_no_value : t -> Production.t -> bool
 (** True when a successful full-mode run of the production provably
     leaves [Value.Unit] in the value register (Void productions, and
-    Plain productions whose body {!expr_yields_unit}). Both back ends
-    consult this to drop the production's value slot from memo chunks:
-    a hit simply restores [Unit] instead of reading a stored value.
-    Config-independent, so closure and VM agree slot for slot. *)
+    Plain productions whose body {!expr_yields_unit}). The engine
+    consults this to drop the production's value slot from memo chunks:
+    a hit simply restores [Unit] instead of reading a stored value. *)
 
 val preserves_value : Expr.t -> bool
 (** True when a lean (recognizer-mode) run of the expression provably
     never writes the engine's value register: such parts may follow a
     sequence's only value-bearing part without a collection frame to
-    protect the result. Both back ends consult this so they agree,
-    call site for call site, on which sequences skip collection. *)
+    protect the result. The engine consults this to decide which
+    sequences skip collection. *)
 
 (** {1 Reachability} *)
 

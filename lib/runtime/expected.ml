@@ -22,8 +22,7 @@ let reset t =
    are held, a new one evicts the lexicographically largest retained
    entry iff it is smaller, so the retained set is always the
    [max_entries] smallest distinct descriptions seen at the farthest
-   position — independent of arrival order, hence identical across
-   back ends (which record the same set in different orders). *)
+   position — independent of arrival order. *)
 let record t pos desc =
   if pos > t.farthest then (
     t.farthest <- pos;

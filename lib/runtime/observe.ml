@@ -1,4 +1,4 @@
-(* The observation sink shared by both back ends. Everything is
+(* The observation sink the engine reports to. Everything is
    preallocated at [create]: pushing a ring event is four int writes
    into a flat array, coverage marks are single array increments, and
    profiling delegates to [Profile]. Nothing here charges fuel or the

@@ -1,20 +1,14 @@
 (* The observability layer: profiler, trace ring, coverage, and the
-   zero-cost-when-off contract. Cross-backend event/coverage parity on
+   zero-cost-when-off contract. The profiler-versus-Stats property on
    random grammars lives in test_props.ml; these are the directed cases,
-   each run on both back ends.
-
-   Configurations here are governed (finite fuel): without a budget the
-   VM emits no govern brackets for inlined productions and counts fewer
-   invocations than the closure engine, so cross-checks against
-   Stats.invocations only hold governed (see DESIGN.md). *)
+   each run under two engine configurations. *)
 
 open Rats
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
 let b = Grammar.make_exn
-let backends = [ ("closure", Config.optimized); ("vm", Config.vm) ]
-let governed config = Config.with_limits (Limits.v ~fuel:100_000 ()) config
+let configs = [ ("optimized", Config.optimized); ("packrat", Config.packrat) ]
 
 let contains hay needle =
   let n = String.length hay and m = String.length needle in
@@ -54,8 +48,6 @@ let all_ones () : Stats.t =
     chunk_slots = 1;
     backtracks = 1;
     state_snapshots = 1;
-    vm_instructions = 1;
-    vm_stack_peak = 1;
     memo_degraded = 1;
     fuel_used = 1;
     memo_reused = 1;
@@ -64,14 +56,12 @@ let all_ones () : Stats.t =
 
 let stats_tests =
   [
-    test "add doubles every counter; vm-stack-peak max-merges" (fun () ->
+    test "add doubles every counter" (fun () ->
         let acc = Stats.create () in
         Stats.add acc (all_ones ());
         Stats.add acc (all_ones ());
         List.iter
-          (fun (name, v) ->
-            let expected = if name = "vm-stack-peak" then 1 else 2 in
-            check Alcotest.int name expected v)
+          (fun (name, v) -> check Alcotest.int name 2 v)
           (Stats.fields acc));
     test "fields schema is stable, in order, zero-inclusive" (fun () ->
         check
@@ -79,8 +69,8 @@ let stats_tests =
           "names"
           [
             "invocations"; "hits"; "misses"; "stores"; "chunks"; "slots";
-            "backtracks"; "snapshots"; "vm-instructions"; "vm-stack-peak";
-            "fuel-used"; "memo-degraded"; "memo-reused"; "memo-relocated";
+            "backtracks"; "snapshots"; "fuel-used"; "memo-degraded";
+            "memo-reused"; "memo-relocated";
           ]
           (List.map fst (Stats.fields (Stats.create ()))));
     test "pp renders every field even at zero" (fun () ->
@@ -102,19 +92,7 @@ let off_tests =
             let eng = Engine.prepare_exn ~config (dead_arm_grammar ()) in
             if Engine.observation eng <> None then
               Alcotest.failf "[%s] unobserved engine has a sink" label)
-          backends);
-    test "unobserved bytecode contains no obs instructions" (fun () ->
-        let g = dead_arm_grammar () in
-        let plain = Vm.prepare_exn ~config:Config.vm g in
-        if contains (Vm.disassemble plain) "obs-" then
-          Alcotest.fail "observe-off program contains obs-* instructions";
-        let seen =
-          Vm.prepare_exn
-            ~config:(Config.with_observe (Observe.all ()) Config.vm)
-            g
-        in
-        if not (contains (Vm.disassemble seen) "obs-") then
-          Alcotest.fail "observed program contains no obs-* instructions");
+          configs);
   ]
 
 (* --- profiler ---------------------------------------------------------------- *)
@@ -125,7 +103,7 @@ let profile_tests =
         List.iter
           (fun (label, config) ->
             let config =
-              Config.with_observe (Observe.all ()) (governed config)
+              Config.with_observe (Observe.all ()) config
             in
             let eng = Engine.prepare_exn ~config (dead_arm_grammar ()) in
             let out = Engine.run eng "abab" in
@@ -172,7 +150,7 @@ let profile_tests =
                 && ch.[String.length ch - 1] = ']'
                 && contains ch "\"ph\"")
             then Alcotest.failf "[%s] chrome export malformed" label)
-          backends);
+          configs);
     test "finalize closes frames abandoned by a fuel trip" (fun () ->
         List.iter
           (fun (label, config) ->
@@ -195,7 +173,7 @@ let profile_tests =
                after aborted runs: every open event got a close. *)
             if Profile.events_logged p mod 2 <> 0 then
               Alcotest.failf "[%s] unbalanced flame event log" label)
-          backends);
+          configs);
   ]
 
 (* --- coverage ---------------------------------------------------------------- *)
@@ -206,7 +184,7 @@ let coverage_tests =
         List.iter
           (fun (label, config) ->
             let config =
-              Config.with_observe (Observe.all ()) (governed config)
+              Config.with_observe (Observe.all ()) config
             in
             let eng = Engine.prepare_exn ~config (dead_arm_grammar ()) in
             List.iter
@@ -233,12 +211,12 @@ let coverage_tests =
             let report = Format.asprintf "%a" Observe.pp_coverage o in
             if not (contains report "unexercised alternative") then
               Alcotest.failf "[%s] report misses the dead alternative" label)
-          backends);
+          configs);
     test "coverage accumulates across runs of one sink" (fun () ->
         List.iter
           (fun (label, config) ->
             let config =
-              Config.with_observe (Observe.all ()) (governed config)
+              Config.with_observe (Observe.all ()) config
             in
             let eng = Engine.prepare_exn ~config (dead_arm_grammar ()) in
             ignore (Engine.run eng "aa");
@@ -247,7 +225,7 @@ let coverage_tests =
             let _, _, am2, _ = Observe.coverage_summary (obs_of eng) in
             if not (am2 > am1) then
               Alcotest.failf "[%s] second corpus file added no coverage" label)
-          backends);
+          configs);
   ]
 
 (* --- trace ring -------------------------------------------------------------- *)
@@ -268,7 +246,7 @@ let ring_tests =
           (fun (label, config) ->
             let eng =
               Engine.prepare_exn
-                ~config:(ring_only 4096 (governed config))
+                ~config:(ring_only 4096 config)
                 (dead_arm_grammar ())
             in
             ignore (Engine.run eng "ab");
@@ -290,13 +268,13 @@ let ring_tests =
                 if last.Observe.kind <> Observe.Exit_ok then
                   Alcotest.failf "[%s] last event is not exit-ok" label
             | [] -> ())
-          backends);
+          configs);
     test "the ring is bounded: old events are overwritten in place" (fun () ->
         List.iter
           (fun (label, config) ->
             let eng =
               Engine.prepare_exn
-                ~config:(ring_only 16 (governed config))
+                ~config:(ring_only 16 config)
                 (nest_grammar ())
             in
             ignore (Engine.run eng (nest_input 50));
@@ -307,7 +285,7 @@ let ring_tests =
               Alcotest.failf "[%s] ring exceeded its capacity" label;
             if Observe.events_seen o <= 16 then
               Alcotest.failf "[%s] expected overwritten events" label)
-          backends);
+          configs);
     test "tracing charges no fuel and no memo budget" (fun () ->
         (* Satellite regression: the ring dump on Resource_exhausted must
            not change what the parse consumed — byte-identical governor
@@ -345,11 +323,11 @@ let ring_tests =
                 if last.Observe.kind <> Observe.Govern_trip then
                   Alcotest.failf "[%s] last ring event is not the trip" label
             | [] -> Alcotest.failf "[%s] empty ring after trip" label)
-          backends);
+          configs);
     test "pp_events renders positions and source excerpts" (fun () ->
         let eng =
           Engine.prepare_exn
-            ~config:(ring_only 4096 (governed Config.optimized))
+            ~config:(ring_only 4096 Config.optimized)
             (dead_arm_grammar ())
         in
         ignore (Engine.run eng "ab");
@@ -363,6 +341,104 @@ let ring_tests =
             if not (contains dump needle) then
               Alcotest.failf "dump misses %s" needle)
           [ "enter"; "exit-ok"; "(1:1)" ]);
+  ]
+
+(* --- invocation brackets -------------------------------------------------------- *)
+
+(* The enter/exit discipline [rml trace] renders: every invocation opens
+   with [Enter] and closes with exactly one [Exit_ok], [Exit_fail] or
+   [Memo_hit] for the same production and offset, innermost first. *)
+let bracket_tests =
+  let open Builder in
+  let two_a =
+    b [ prod "S" (e "A" @: e "A"); prod "A" (plus (r 'a' 'z')) ]
+  in
+  (* Tail is tried at offset 0 by all three arms: two memo hits. *)
+  let memo_hits =
+    b
+      [
+        prod "S" (e "Tail" @: c 'x' <|> e "Tail" @: c 'y' <|> e "Tail");
+        prod "Tail" (plus (r 'a' 'z'));
+      ]
+  in
+  let brackets g input =
+    let eng = Engine.prepare_exn ~config:(ring_only 4096 Config.packrat) g in
+    let out = Engine.run eng input in
+    let o = obs_of eng in
+    check Alcotest.int "nothing overwritten" (Observe.events_seen o)
+      (List.length (Observe.events o));
+    let calls =
+      List.filter
+        (fun ev -> ev.Observe.kind <> Observe.Backtrack)
+        (Observe.events o)
+    in
+    (out, calls)
+  in
+  let count kinds evs =
+    List.length (List.filter (fun ev -> List.mem ev.Observe.kind kinds) evs)
+  in
+  [
+    test "every enter is closed once, innermost first" (fun () ->
+        List.iter
+          (fun (g, input) ->
+            let _, evs = brackets g input in
+            let open_ =
+              List.fold_left
+                (fun stack ev ->
+                  match (ev.Observe.kind, stack) with
+                  | Observe.Enter, _ -> ev :: stack
+                  | _, top :: rest
+                    when top.Observe.id = ev.Observe.id
+                         && top.Observe.pos = ev.Observe.pos ->
+                      rest
+                  | _ -> Alcotest.failf "unmatched %s" (Observe.kind_name ev.kind))
+                [] evs
+            in
+            check Alcotest.int "all closed" 0 (List.length open_);
+            check Alcotest.bool "some events" true (evs <> []))
+          [ (two_a, "ab"); (two_a, "a1"); (memo_hits, "abc") ]);
+    test "brackets nest as deep as the recursion" (fun () ->
+        (* "((((x))))": S is entered at offsets 0..4, each inside the
+           last, so the open brackets peak at five and unwind to zero. *)
+        let _, evs = brackets (nest_grammar ()) (nest_input 4) in
+        let depth, peak, enters =
+          List.fold_left
+            (fun (depth, peak, enters) ev ->
+              match ev.Observe.kind with
+              | Observe.Enter ->
+                  (match enters with
+                  | outer :: _ when depth > 0 ->
+                      check Alcotest.bool "inner starts at or past outer"
+                        true (ev.Observe.pos >= outer)
+                  | _ -> ());
+                  (depth + 1, max peak (depth + 1), ev.Observe.pos :: enters)
+              | _ -> (depth - 1, peak, List.tl enters))
+            (0, 0, []) evs
+        in
+        check Alcotest.int "peak depth" 5 peak;
+        check Alcotest.int "returns to zero" 0 depth;
+        check Alcotest.int "nothing left open" 0 (List.length enters));
+    test "events number twice the invocations" (fun () ->
+        List.iter
+          (fun (g, input) ->
+            let out, evs = brackets g input in
+            check Alcotest.int "events"
+              (2 * out.Engine.stats.Stats.invocations)
+              (List.length evs))
+          [ (two_a, "ab"); (two_a, "a1"); (memo_hits, "abc") ]);
+    test "enters count invocations, memo hits included" (fun () ->
+        List.iter
+          (fun (g, input) ->
+            let out, evs = brackets g input in
+            let invocations = out.Engine.stats.Stats.invocations in
+            check Alcotest.int "enters" invocations (count [ Observe.Enter ] evs))
+          [ (two_a, "ab"); (memo_hits, "abc") ];
+        let _, evs = brackets memo_hits "abc" in
+        check Alcotest.int "memo hits" 2 (count [ Observe.Memo_hit ] evs));
+    test "a failed invocation exits with Exit_fail" (fun () ->
+        let _, evs = brackets two_a "a1" in
+        check Alcotest.bool "failure exit" true
+          (count [ Observe.Exit_fail ] evs > 0));
   ]
 
 (* --- sessions ---------------------------------------------------------------- *)
@@ -381,7 +457,7 @@ let session_tests =
         List.iter
           (fun (label, config) ->
             let eng =
-              Engine.prepare_exn ~config:(ring_only 4096 (governed config)) g
+              Engine.prepare_exn ~config:(ring_only 4096 config) g
             in
             let sess = Session.create eng "12+34+56" in
             (match Session.reparse sess with
@@ -404,7 +480,7 @@ let session_tests =
                 if ev.Observe.pos <= 0 then
                   Alcotest.failf "[%s] reuse event counts nothing" label
             | None -> Alcotest.failf "[%s] no memo-reuse event" label)
-          backends);
+          configs);
   ]
 
 (* --- provenance -------------------------------------------------------------- *)
@@ -450,6 +526,7 @@ let () =
       ("profiler", profile_tests);
       ("coverage", coverage_tests);
       ("trace-ring", ring_tests);
+      ("brackets", bracket_tests);
       ("sessions", session_tests);
       ("provenance", provenance_tests);
     ]

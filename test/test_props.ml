@@ -264,9 +264,10 @@ let pass_props =
    descriptions ("not ..." and "&...") quote their operand's syntax,
    which structural passes rewrite by design, so those are compared
    only by their presence.
-   Reference and subject run under the same engine configuration so only
-   the pass itself is under test; the bytecode variant then re-checks
-   the transformed grammar through the VM. *)
+   The first arm runs the untransformed and the transformed grammar
+   under the same engine configuration, so only the pass itself is under
+   test; the second checks the engine on the transformed grammar against
+   the reference interpreter on the original one. *)
 
 type full_obs = FAccept of Value.t | FReject of int * string list
 
@@ -298,63 +299,58 @@ let apply_pass (p : Pass.t) g =
 let registry_pass_props =
   List.concat_map
     (fun (p : Pass.t) ->
-      let prop backend cfg =
+      let prop oracle check =
         QCheck.Test.make
           ~name:
             (Printf.sprintf "%s preserves values, positions, expected (%s)"
-               p.Pass.name backend)
+               p.Pass.name oracle)
           ~count:120 arb_case
           (fun (g, inputs) ->
             match
-              (prepare_with Config.packrat g, prepare_with cfg (apply_pass p g))
+              (prepare_with Config.packrat g,
+               prepare_with Config.packrat (apply_pass p g))
             with
             | Ok e1, Ok e2 ->
-                List.for_all
-                  (fun input ->
-                    full_equal (observe_full e1 input) (observe_full e2 input))
-                  inputs
+                List.for_all (fun input -> check g e1 e2 input) inputs
             | Error _, Error _ -> true
             | _ -> false)
       in
       [
-        prop "closure" Config.packrat;
-        prop "vm" (Config.with_backend Config.Bytecode Config.packrat);
+        prop "closure" (fun _ e1 e2 input ->
+            full_equal (observe_full e1 input) (observe_full e2 input));
+        prop "reference" (fun g _ e2 input ->
+            Oracle.agrees ~descs:normalize_expected ~config:Config.packrat g
+              input (Engine.run e2 input));
       ])
     (Pipeline.all_passes ())
 
-(* --- bytecode back end -------------------------------------------------------------------- *)
+(* --- reference interpreter ---------------------------------------------------------------- *)
 
-(* The closure engine is the executable specification for the bytecode
-   VM: same values, same success offsets, same farthest-failure
-   positions, across every memo strategy. [Engine.prepare] dispatches on
-   [Config.backend], so the same facade drives both. *)
+(* The reference interpreter (test/reference) is the executable
+   specification of the engine: same values, same success offsets, same
+   farthest-failure positions and — without dispatch — the same expected
+   sets, across every memo strategy. *)
 
-let vm_of cfg = Config.with_backend Config.Bytecode cfg
-
-let vm_props =
-  let both name count cfg =
-    equivalent name count (prepare_with cfg) (prepare_with (vm_of cfg))
-  in
-  [
-    both "closure = bytecode (no memo)" 250 Config.naive;
-    both "closure = bytecode (packrat hashtable)" 250 Config.packrat;
-    both "closure = bytecode (chunked+transient)" 250
-      (Config.v ~memo:Config.Chunked ~honor_transient:true ());
-    both "closure = bytecode (fully optimized)" 250 Config.optimized;
-    QCheck.Test.make ~name:"closure = bytecode on prefixes (consumed offsets)"
-      ~count:250 arb_case (fun (g, inputs) ->
-        match (prepare_with Config.optimized g, prepare_with Config.vm g) with
-        | Ok e1, Ok e2 ->
+let reference_props =
+  let agree ?(require_eof = true) name count cfg =
+    QCheck.Test.make ~name ~count arb_case (fun (g, inputs) ->
+        match prepare_with cfg g with
+        | Error _ -> Oracle.refused g
+        | Ok eng ->
             List.for_all
               (fun input ->
-                let o1 = Engine.run e1 ~require_eof:false input in
-                let o2 = Engine.run e2 ~require_eof:false input in
-                o1.Engine.consumed = o2.Engine.consumed
-                && Result.is_ok o1.Engine.result
-                   = Result.is_ok o2.Engine.result)
-              inputs
-        | Error _, Error _ -> true
-        | _ -> false);
+                Oracle.agrees ~require_eof ~config:cfg g input
+                  (Engine.run eng ~require_eof input))
+              inputs)
+  in
+  [
+    agree "engine = reference (no memo)" 250 Config.naive;
+    agree "engine = reference (packrat hashtable)" 250 Config.packrat;
+    agree "engine = reference (chunked+transient)" 250
+      (Config.v ~memo:Config.Chunked ~honor_transient:true ());
+    agree "engine = reference (fully optimized)" 250 Config.optimized;
+    agree ~require_eof:false "engine = reference on prefixes (consumed offsets)"
+      250 Config.optimized;
   ]
 
 (* --- printer round-trip -------------------------------------------------------------- *)
@@ -494,30 +490,10 @@ let engine_fuzz_props =
 
 (* --- resource governor -------------------------------------------------------------- *)
 
-(* The governor's contract, in property form: under finite limits both
-   back ends (a) always return a result — no exception escapes — and
-   (b) produce the *same* result, including which budget tripped when
-   one did. Fuel and depth are counted identically by construction, so
-   full observation equality is the right assertion, not just
-   same-outcome. *)
-
-type gov_obs =
-  | GAccept
-  | GReject of int
-  | GTrip of Limits.which * int  (* which budget, farthest position *)
-
-let gov_observe eng input =
-  match Engine.parse eng input with
-  | Ok _ -> GAccept
-  | Error e -> (
-      match Parse_error.exhausted_which e with
-      | Some w -> GTrip (w, e.Parse_error.position)
-      | None -> GReject e.Parse_error.position)
-
-let gov_print = function
-  | GAccept -> "accept"
-  | GReject p -> Printf.sprintf "reject@%d" p
-  | GTrip (w, p) -> Printf.sprintf "trip %s@%d" (Limits.which_name w) p
+(* The governor's contract, in property form: under finite limits the
+   engine (a) always returns a result — no exception escapes — and
+   (b) when no budget tripped, returns the reference interpreter's
+   result. *)
 
 let governor_props =
   let calc = lazy (Pipeline.optimize (Grammars.Calc.grammar ())) in
@@ -527,8 +503,7 @@ let governor_props =
          ~config:(Config.with_limits limits cfg)
          (Lazy.force calc))
   in
-  let closure_h = calc_eng Config.optimized Limits.hardened in
-  let vm_h = calc_eng Config.vm Limits.hardened in
+  let hardened = calc_eng Config.optimized Limits.hardened in
   let gen_adversarial st =
     let scale = 1 + Gen.int_bound 4000 st in
     let shapes = Grammars.Corpus.adversarial ~scale in
@@ -543,18 +518,16 @@ let governor_props =
   [
     (* (a)+(b) on the designed hostile inputs: a raise fails the test. *)
     QCheck.Test.make
-      ~name:"hardened calc: backends agree and never raise (adversarial)"
+      ~name:"hardened calc: agrees with the reference and never raises \
+             (adversarial)"
       ~count:600 arb_adversarial (fun (_, input) ->
-        let a = gov_observe (Lazy.force closure_h) input in
-        let b = gov_observe (Lazy.force vm_h) input in
-        if a <> b then
-          QCheck.Test.fail_reportf "closure: %s, vm: %s" (gov_print a)
-            (gov_print b)
-        else true);
+        let eng = Lazy.force hardened in
+        Oracle.agrees ~config:(Engine.config eng) (Lazy.force calc) input
+          (Engine.run eng input));
     (* Same, on random grammars with budgets small enough that most runs
-       trip: the two back ends must run out of the same budget. *)
+       trip: a run that does not trip must still be the reference's. *)
     QCheck.Test.make
-      ~name:"random tiny budgets trip the same limit on both backends"
+      ~name:"random tiny budgets: untripped runs agree with the reference"
       ~count:400
       (QCheck.pair arb_case
          (QCheck.make
@@ -562,21 +535,17 @@ let governor_props =
             (Gen.pair (Gen.map (( + ) 1) (Gen.int_bound 300))
                (Gen.map (( + ) 1) (Gen.int_bound 24)))))
       (fun ((g, inputs), (fuel, max_depth)) ->
-        let limits = Limits.v ~fuel ~max_depth () in
-        match
-          ( Engine.prepare ~config:(Config.with_limits limits Config.optimized) g,
-            Engine.prepare ~config:(Config.with_limits limits Config.vm) g )
-        with
-        | Ok e1, Ok e2 ->
+        let config = Config.with_limits (Limits.v ~fuel ~max_depth ()) Config.optimized in
+        match Engine.prepare ~config g with
+        | Ok eng ->
             List.for_all
               (fun input ->
-                gov_observe e1 input = gov_observe e2 input)
+                Oracle.agrees ~config g input (Engine.run eng input))
               inputs
-        | Error _, Error _ -> true
-        | _ -> false);
+        | Error _ -> Oracle.refused g);
     (* Memo-budget exhaustion degrades instead of failing: a tiny memo
-       budget must not change any observable outcome, on either back
-       end. *)
+       budget must not change any observable outcome, and the degraded
+       run is still the reference's. *)
     QCheck.Test.make ~name:"memo degradation changes nothing observable"
       ~count:300
       (QCheck.pair arb_case (QCheck.make (Gen.int_bound 2048)))
@@ -593,11 +562,16 @@ let governor_props =
                 List.for_all
                   (fun input ->
                     full_equal (observe_full full input)
-                      (observe_full capped input))
+                      (observe_full capped input)
+                    && Oracle.agrees ~config:cfg g input (Engine.run capped input))
                   inputs
             | Error _, Error _ -> true
             | _ -> false)
-          [ Config.optimized; Config.packrat; Config.vm ]);
+          [
+            Config.optimized;
+            Config.packrat;
+            Config.v ~memo:Config.Chunked ~honor_transient:true ();
+          ]);
     (* The unlimited default really is governance-free at the API level:
        same observations as a finite-but-huge budget. *)
     QCheck.Test.make ~name:"huge finite budgets behave like unlimited"
@@ -616,11 +590,12 @@ let governor_props =
                 List.for_all
                   (fun input ->
                     full_equal (observe_full free input)
-                      (observe_full governed input))
+                      (observe_full governed input)
+                    && Oracle.agrees ~config:cfg g input (Engine.run governed input))
                   inputs
             | Error _, Error _ -> true
             | _ -> false)
-          [ Config.optimized; Config.vm ]);
+          [ Config.optimized; Config.packrat ]);
   ]
 
 (* --- input representations ------------------------------------------------------------ *)
@@ -628,8 +603,9 @@ let governor_props =
 (* The zero-copy input layer: the same document parsed through a
    string-backed and a Bigarray-backed [Input.t] must be byte-identical
    in every observable — value, consumed offset, error position,
-   expected set, error kind and every [Stats] counter — on both back
-   ends, governed and ungoverned. This is the invariant that lets
+   expected set, error kind and every [Stats] counter — under every
+   memo strategy, governed and ungoverned — and the Bigarray parse is
+   the reference interpreter's. This is the invariant that lets
    [Source.map_file]/[rml parse --mmap] claim "same parse, no copy". *)
 
 let big_of_string s =
@@ -679,43 +655,40 @@ let input_rep_props =
                 (fun text ->
                   rep_equal
                     (rep_observe eng (Input.of_string text))
-                    (rep_observe eng (big_of_string text)))
+                    (rep_observe eng (big_of_string text))
+                  && Oracle.agrees ~config:cfg g text
+                       (Engine.run_input eng (big_of_string text)))
                 inputs))
     [
-      ("closure", Config.optimized);
-      ("vm", Config.vm);
-      ("closure packrat", Config.packrat);
-      ("closure governed", governed Config.optimized);
-      ("vm governed", governed Config.vm);
+      ("optimized", Config.optimized);
+      ("no memo", Config.naive);
+      ("packrat", Config.packrat);
+      ("optimized governed", governed Config.optimized);
+      ("packrat governed", governed Config.packrat);
     ]
   @ [
       QCheck.Test.make
         ~name:"string = bigarray on prefixes (require_eof:false)" ~count:150
         arb_case
         (fun (g, inputs) ->
-          match (prepare_with Config.optimized g, prepare_with Config.vm g) with
-          | Ok cl, Ok vm ->
+          match prepare_with Config.optimized g with
+          | Ok eng ->
               List.for_all
                 (fun text ->
-                  List.for_all
-                    (fun eng ->
-                      let a =
-                        Engine.run_input eng ~require_eof:false
-                          (Input.of_string text)
-                      in
-                      let b =
-                        Engine.run_input eng ~require_eof:false
-                          (big_of_string text)
-                      in
-                      a.Engine.consumed = b.Engine.consumed
-                      && Result.is_ok a.Engine.result
-                         = Result.is_ok b.Engine.result
-                      && Stats.fields a.Engine.stats
-                         = Stats.fields b.Engine.stats)
-                    [ cl; vm ])
+                  let a =
+                    Engine.run_input eng ~require_eof:false
+                      (Input.of_string text)
+                  in
+                  let b =
+                    Engine.run_input eng ~require_eof:false (big_of_string text)
+                  in
+                  a.Engine.consumed = b.Engine.consumed
+                  && Result.is_ok a.Engine.result = Result.is_ok b.Engine.result
+                  && Stats.fields a.Engine.stats = Stats.fields b.Engine.stats
+                  && Oracle.agrees ~require_eof:false ~config:Config.optimized g
+                       text b)
                 inputs
-          | Error _, Error _ -> true
-          | _ -> false);
+          | Error _ -> Oracle.refused g);
     ]
 
 (* --- recognizer (voidified) equivalence ----------------------------------------------- *)
@@ -730,8 +703,12 @@ let input_rep_props =
    but every voidified slot is value-free and gets the whole protocol.
    So the total charge is compared as cheaper-per-chunk over a
    superset of positions — and whenever coverage does not grow, the
-   total must shrink outright. Checked on both back ends, governed and
-   ungoverned: 4 configurations x 150 cases = 600 random grammars. *)
+   total must shrink outright. The voidified run is also checked against
+   the reference interpreter on the voidified grammar. Checked with and
+   without dispatch, governed and ungoverned: 4 configurations x 150
+   cases = 600 random grammars. *)
+
+let chunked = Config.v ~memo:Config.Chunked ~honor_transient:true ()
 
 let voidify g =
   match Batch.recognizer_erase g with
@@ -767,7 +744,8 @@ let recognizer_props =
              tag)
         ~count:150 arb_case
         (fun (g, inputs) ->
-          match (prepare_with cfg g, prepare_with cfg (voidify g)) with
+          let void = voidify g in
+          match (prepare_with cfg g, prepare_with cfg void) with
           | Ok orig, Ok recog ->
               Engine.memo_value_slots recog = 0
               && Limits.chunk_cost
@@ -799,15 +777,15 @@ let recognizer_props =
                          input
                          (chunk_charge recog b.Engine.stats)
                          (chunk_charge orig a.Engine.stats)
-                     else true)
+                     else Oracle.agrees ~config:cfg void input b)
                    inputs
           | Error _, Error _ -> true
           | _ -> false))
     [
-      ("closure", Config.optimized);
-      ("vm", Config.vm);
-      ("closure governed", governed Config.optimized);
-      ("vm governed", governed Config.vm);
+      ("optimized", Config.optimized);
+      ("chunked", chunked);
+      ("optimized governed", governed Config.optimized);
+      ("chunked governed", governed chunked);
     ]
 
 (* --- charset algebra -------------------------------------------------------------------- *)
@@ -848,15 +826,8 @@ let charset_props =
 
 (* --- observability ---------------------------------------------------------- *)
 
-(* Governed configurations only: without a fuel budget the VM emits no
-   govern brackets for inlined productions and counts fewer invocations
-   than the closure engine, so the cross-backend accounting below only
-   holds when both engines run governed (see DESIGN.md). The budget is
-   far above what any generated case needs, so nothing trips. *)
 let observed base =
-  Config.with_limits
-    (Limits.v ~fuel:200_000 ())
-    (Config.with_observe (Observe.all ~ring_bytes:(1 lsl 20) ()) base)
+  Config.with_observe (Observe.all ~ring_bytes:(1 lsl 20) ()) base
 
 let observe_props =
   [
@@ -882,38 +853,36 @@ let observe_props =
                     match Observe.profile o with
                     | None -> false
                     | Some p -> Profile.invocation_sum p = total)))
-          [ Config.optimized; Config.vm ]);
+          [ Config.optimized; Config.packrat ]);
     QCheck.Test.make
-      ~name:"closure and vm emit identical events and coverage" ~count:150
-      arb_case
+      ~name:"observed runs agree with the reference and replay identically"
+      ~count:150 arb_case
       (fun (g, inputs) ->
         List.for_all
           (fun base ->
-            let cl =
-              Engine.prepare
-                ~config:(observed (Config.with_backend Config.Closure base))
-                g
+            let config = observed base in
+            let session () =
+              match Engine.prepare ~config g with
+              | Error _ -> None
+              | Ok eng ->
+                  let agree =
+                    List.for_all
+                      (fun input ->
+                        Oracle.agrees ~config g input (Engine.run eng input))
+                      inputs
+                  in
+                  Option.map
+                    (fun o ->
+                      ( agree,
+                        Observe.events o,
+                        Observe.coverage_summary o,
+                        Observe.unexercised o ))
+                    (Engine.observation eng)
             in
-            let vm =
-              Engine.prepare
-                ~config:(observed (Config.with_backend Config.Bytecode base))
-                g
-            in
-            match (cl, vm) with
-            | Ok cl, Ok vm -> (
-                List.iter
-                  (fun input ->
-                    ignore (Engine.run cl input);
-                    ignore (Engine.run vm input))
-                  inputs;
-                match (Engine.observation cl, Engine.observation vm) with
-                | Some oc, Some ov ->
-                    Observe.events oc = Observe.events ov
-                    && Observe.coverage_summary oc
-                       = Observe.coverage_summary ov
-                    && Observe.unexercised oc = Observe.unexercised ov
-                | _ -> false)
-            | Error _, Error _ -> true
+            match (session (), session ()) with
+            | Some (agree, ev, cov, dead), Some (_, ev', cov', dead') ->
+                agree && ev = ev' && cov = cov' && dead = dead'
+            | None, None -> Oracle.refused g
             | _ -> false)
           [ Config.optimized; Config.packrat ]);
   ]
@@ -923,7 +892,7 @@ let () =
   Alcotest.run "props"
     [
       ("engine-equivalence", to_alco engine_props);
-      ("vm-equivalence", to_alco vm_props);
+      ("reference-equivalence", to_alco reference_props);
       ("input-representation", to_alco input_rep_props);
       ("pass-equivalence", to_alco pass_props);
       ("registry-pass-equivalence", to_alco registry_pass_props);

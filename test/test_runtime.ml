@@ -331,7 +331,6 @@ let memo_tests =
               [ "12;"; "345;" ])
           [
             ("optimized", Config.optimized);
-            ("vm", Config.vm);
             ("chunked full", Config.v ~memo:Config.Chunked ());
           ]);
     test "dispatch prunes doomed alternatives" (fun () ->
@@ -431,76 +430,6 @@ let state_tests =
         expect_accepts typedef_grammar "def abc;abc;" true);
   ]
 
-(* --- tracing ---------------------------------------------------------------------------- *)
-
-let trace_tests =
-  let open Builder in
-  let g =
-    Grammar.make_exn ~start:"S"
-      [ prod "S" (e "A" @: e "A"); prod "A" (plus (r 'a' 'z')) ]
-  in
-  let collect ?(config = Config.packrat) input =
-    let events = ref [] in
-    match
-      Engine.trace ~config ~on_event:(fun ev -> events := ev :: !events) g input
-    with
-    | Ok out -> (out, List.rev !events)
-    | Error _ -> Alcotest.fail "trace prepare failed"
-  in
-  [
-    test "enter and exit events balance" (fun () ->
-        let _, events = collect "ab" in
-        let enters =
-          List.length (List.filter (fun (e : Engine.trace_event) -> e.outcome = None) events)
-        in
-        let exits =
-          List.length (List.filter (fun (e : Engine.trace_event) -> e.outcome <> None) events)
-        in
-        check Alcotest.int "balanced" enters exits;
-        check Alcotest.bool "some events" true (enters > 0));
-    test "event count equals invocation count times two" (fun () ->
-        let out, events = collect "ab" in
-        check Alcotest.int "2x invocations"
-          (2 * out.Engine.stats.Stats.invocations)
-          (List.length events));
-    test "exits carry outcomes, failures are negative" (fun () ->
-        let _, events = collect "a1" in
-        check Alcotest.bool "has failure exit" true
-          (List.exists
-             (fun (e : Engine.trace_event) -> e.outcome = Some (-1))
-             events));
-    test "depth nests properly" (fun () ->
-        let _, events = collect "ab" in
-        let ok = ref true in
-        let depth = ref 0 in
-        List.iter
-          (fun (e : Engine.trace_event) ->
-            match e.outcome with
-            | None ->
-                if e.depth <> !depth then ok := false;
-                incr depth
-            | Some _ ->
-                decr depth;
-                if e.depth <> !depth then ok := false)
-          events;
-        check Alcotest.bool "nesting" true !ok;
-        check Alcotest.int "returns to zero" 0 !depth);
-    test "memo hits still appear as invocations" (fun () ->
-        (* S invokes A twice at different positions; with the memo_grammar
-           from above, hits show up as enter/exit pairs too. *)
-        let events = ref 0 in
-        (match
-           Engine.trace ~config:Config.packrat
-             ~on_event:(fun _ -> incr events)
-             memo_grammar "abc"
-         with
-        | Ok out ->
-            check Alcotest.int "2x invocations"
-              (2 * out.Engine.stats.Stats.invocations)
-              !events
-        | Error _ -> Alcotest.fail "trace failed"));
-  ]
-
 (* --- pathological input --------------------------------------------------------------- *)
 
 let path_tests =
@@ -529,7 +458,7 @@ let calc_gram = lazy (Pipeline.optimize (Grammars.Calc.grammar ()))
 let calc_eng cfg limits =
   Engine.prepare_exn ~config:(Config.with_limits limits cfg) (Lazy.force calc_gram)
 
-let both_backends = [ ("closure", Config.optimized); ("vm", Config.vm) ]
+let configs = [ ("optimized", Config.optimized); ("packrat", Config.packrat) ]
 
 let expect_trip label eng input which =
   match Engine.parse eng input with
@@ -545,20 +474,20 @@ let expect_trip label eng input which =
 
 let limits_tests =
   [
-    test "fuel exhaustion is a structured error on both backends" (fun () ->
+    test "fuel exhaustion is a structured error" (fun () ->
         let input = "1+1+1+1+1+1+1+1+1+1" in
         List.iter
           (fun (label, cfg) ->
             expect_trip label (calc_eng cfg (Limits.v ~fuel:20 ())) input
               Limits.Fuel)
-          both_backends);
-    test "depth exhaustion is a structured error on both backends" (fun () ->
+          configs);
+    test "depth exhaustion is a structured error" (fun () ->
         let input = Grammars.Corpus.pathological ~depth:64 in
         List.iter
           (fun (label, cfg) ->
             expect_trip label (calc_eng cfg (Limits.v ~max_depth:16 ())) input
               Limits.Depth)
-          both_backends);
+          configs);
     test "oversized input is rejected before parsing" (fun () ->
         List.iter
           (fun (label, cfg) ->
@@ -566,7 +495,7 @@ let limits_tests =
             expect_trip label eng "1+1+1" Limits.Input;
             check Alcotest.bool (label ^ " small ok") true
               (Engine.accepts eng "1+1"))
-          both_backends);
+          configs);
     test "trip reports the farthest position and renders a message"
       (fun () ->
         let eng = calc_eng Config.optimized (Limits.v ~fuel:30 ()) in
@@ -587,16 +516,7 @@ let limits_tests =
             check value_eq "same value"
               (Result.get_ok (Engine.parse free input))
               (Result.get_ok (Engine.parse gov input)))
-          both_backends);
-    test "fuel accounting agrees across backends" (fun () ->
-        let input = "(1+2)*(3+4)**2" in
-        let used cfg =
-          (Engine.run (calc_eng cfg Limits.hardened) input).Engine.stats
-            .Stats.fuel_used
-        in
-        let closure = used Config.optimized and vm = used Config.vm in
-        check Alcotest.bool "some fuel burned" true (closure > 0);
-        check Alcotest.int "identical burn" closure vm);
+          configs);
     test "memo budget degrades instead of failing (all memo modes)"
       (fun () ->
         let input = "abcdef" in
@@ -619,9 +539,6 @@ let limits_tests =
           [
             ("hashtable", Config.packrat);
             ("chunked", Config.v ~memo:Config.Chunked ());
-            ("vm-hashtable", Config.with_backend Config.Bytecode Config.packrat);
-            ("vm-chunked",
-             Config.with_backend Config.Bytecode (Config.v ~memo:Config.Chunked ()));
           ]);
     test "degraded run still memo-hits within the budget" (fun () ->
         (* Re-invokes T at every input position; a budget of two chunks
@@ -675,13 +592,54 @@ let limits_tests =
             let a = snapshot () and b = snapshot () in
             if a <> b then Alcotest.failf "%s: second parse drifted" label)
           [
-            ("closure", Config.optimized);
-            ("closure-hashtable", Config.packrat);
-            ("vm", Config.vm);
-            ( "vm-hashtable",
-              Config.with_backend Config.Bytecode Config.packrat );
+            ("optimized", Config.optimized);
+            ("packrat", Config.packrat);
           ]);
   ]
+
+(* --- character classes ------------------------------------------------------ *)
+
+(* A class accepts a byte exactly when its charset contains it — at both
+   ends of the byte range and under complement too — on every memo
+   strategy, and so does the reference interpreter. *)
+let charset_tests =
+  let sets =
+    [
+      ("range", Charset.range 'a' 'f');
+      ("union", Charset.union (Charset.range '0' '9') (Charset.singleton '_'));
+      ( "complement",
+        Charset.complement
+          (Charset.union (Charset.singleton '\n') (Charset.range 'x' 'z')) );
+      ("edges", Charset.union (Charset.singleton '\000') (Charset.singleton '\255'));
+      ("full", Charset.full);
+    ]
+  in
+  List.map
+    (fun (name, set) ->
+      test (Printf.sprintf "class agrees with Charset.mem (%s)" name)
+        (fun () ->
+          let g = Grammar.make_exn [ Production.v "P0" (Expr.cls set) ] in
+          let engines =
+            List.map
+              (fun (label, config) -> (label, Engine.prepare_exn ~config g))
+              configs
+          in
+          for b = 0 to 255 do
+            let input = String.make 1 (Char.chr b) in
+            let want = Charset.mem (Char.chr b) set in
+            List.iter
+              (fun (label, eng) ->
+                check Alcotest.bool
+                  (Printf.sprintf "[%s] byte %d" label b)
+                  want
+                  (Result.is_ok (Engine.parse eng input)))
+              engines;
+            check Alcotest.bool
+              (Printf.sprintf "[reference] byte %d" b)
+              want
+              (Result.is_ok (Reference.parse g input).Reference.result)
+          done))
+    sets
 
 (* --- the expected tracker's 32-entry cap ----------------------------------- *)
 
@@ -692,9 +650,8 @@ let expected_tests =
         (* The tracker holds at most [Expected.max_entries] distinct
            descriptions per position. Feed 48 distinct labels in two
            opposite orders: the retained set must be the same — the
-           lexicographically smallest 32 — or the two back ends (which
-           visit alternatives in different orders) would report
-           different errors past the cap. *)
+           lexicographically smallest 32 — or the report past the cap
+           would depend on the order alternatives are tried in. *)
         let labels = List.init 48 (Printf.sprintf "lbl%02d") in
         let run order =
           let t = Expected.create () in
@@ -720,12 +677,42 @@ let expected_tests =
         check
           (Alcotest.list Alcotest.string)
           "reset" [ "fresh" ] (Expected.descriptions t));
-    test "both engines report the same expected set past the cap" (fun () ->
+    test "expected sets are deduplicated" (fun () ->
+        (* Two alternatives fail on the same literal at the same offset;
+           without dispatch both really run, and the report must name
+           the label once — as must the reference's. *)
+        let g =
+          Grammar.make_exn
+            [
+              Production.v "P0"
+                (Expr.alt
+                   [
+                     Expr.chr 'a';
+                     Expr.seq [ Expr.chr 'a'; Expr.chr 'b' ];
+                     Expr.chr 'z';
+                   ]);
+            ]
+        in
+        let config = Config.v ~memo:Config.No_memo () in
+        let no_dups label expected =
+          check Alcotest.int (label ^ ": no duplicate entries")
+            (List.length (List.sort_uniq compare expected))
+            (List.length expected)
+        in
+        (match Engine.parse (Engine.prepare_exn ~config g) "q" with
+        | Ok _ -> Alcotest.fail "should not parse"
+        | Error e ->
+            no_dups "engine" e.Parse_error.expected;
+            check Alcotest.int "two labels" 2
+              (List.length e.Parse_error.expected));
+        match (Reference.parse g "q").Reference.result with
+        | Ok _ -> Alcotest.fail "reference should not parse"
+        | Error f -> no_dups "reference" f.Reference.expected);
+    test "the expected set past the cap is the reference's, capped"
+      (fun () ->
         (* 40 distinct literal alternatives, all sharing the "kw" prefix
            so FIRST-byte dispatch cannot prune them, all failing at
-           offset 2 on "kw~~" — more than the cap, so the deterministic
-           overflow rule is what keeps closure and VM reports
-           identical. *)
+           offset 2 on "kw~~" — more than the cap. *)
         let open Builder in
         let g =
           b
@@ -734,22 +721,174 @@ let expected_tests =
                 (alt (List.init 40 (fun i -> s (Printf.sprintf "kw%02d!" i))));
             ]
         in
-        let report cfg =
-          match Engine.prepare ~config:cfg g with
-          | Error _ -> Alcotest.fail "prepare"
-          | Ok eng -> (
-              match Engine.parse eng "kw~~" with
-              | Ok _ -> Alcotest.fail "unexpected success"
-              | Error e ->
-                  check Alcotest.int "cap respected" Expected.max_entries
-                    (List.length e.Parse_error.expected);
-                  (e.Parse_error.position, e.Parse_error.expected))
+        List.iter
+          (fun (label, config) ->
+            let out = Engine.run (Engine.prepare_exn ~config g) "kw~~" in
+            (match out.Engine.result with
+            | Ok _ -> Alcotest.failf "[%s] unexpected success" label
+            | Error e ->
+                check Alcotest.int (label ^ ": cap respected")
+                  Expected.max_entries
+                  (List.length e.Parse_error.expected));
+            Option.iter (Alcotest.failf "[%s] %s" label)
+              (Oracle.mismatch ~config g "kw~~" out))
+          configs);
+  ]
+
+(* --- the reference interpreter on directed cases ----------------------------- *)
+
+(* An alternative records a name into a state table and then fails; the
+   backtrack must roll the table back so the later alternative does not
+   see the phantom entry — with several nested choice points between the
+   record and the failure in the [deep] variant. Then the builtin
+   corpora, whose trees must equal the reference interpreter's under
+   every memo strategy. *)
+let reference_tests =
+  let agree ?(configs = [ Config.optimized; Config.packrat ]) ?accepts name g
+      input =
+    test name (fun () ->
+        List.iter
+          (fun config ->
+            let out = Engine.run (Engine.prepare_exn ~config g) input in
+            Option.iter Alcotest.fail (Oracle.mismatch ~config g input out);
+            Option.iter
+              (check Alcotest.bool "accepted" (Result.is_ok out.Engine.result))
+              accepts)
+          configs)
+  in
+  let name_ = Expr.plus (Expr.cls (Charset.range 'a' 'z')) in
+  let g =
+    Grammar.make_exn
+      [
+        Production.v "P0"
+          (Expr.alt
+             [
+               Expr.seq [ Expr.record "T" (Expr.token name_); Expr.fail "no" ];
+               Expr.seq
+                 [ Expr.member "T" false (Expr.token name_); Expr.str "!" ];
+             ]);
+      ]
+  in
+  let deep =
+    Grammar.make_exn
+      [
+        Production.v "P0"
+          (Expr.alt
+             [
+               Expr.seq
+                 [
+                   Expr.record "T" (Expr.token name_);
+                   Expr.alt [ Expr.str "--"; Expr.str "++" ];
+                   Expr.star (Expr.chr '.');
+                   Expr.fail "no";
+                 ];
+               Expr.seq [ Expr.member "T" false (Expr.token name_); Expr.any () ];
+             ]);
+      ]
+  in
+  let corpora =
+    [
+      ( "calc",
+        Grammars.Calc.grammar (),
+        Grammars.Corpus.arith (Rng.create 7) ~size:400 );
+      ( "json",
+        Grammars.Json.grammar (),
+        Grammars.Corpus.json (Rng.create 7) ~size:400 );
+      ( "minic",
+        Grammars.Minic.grammar (),
+        Grammars.Corpus.minic (Rng.create 7) ~functions:4 );
+      ( "minijava",
+        Grammars.Minijava.grammar (),
+        Grammars.Corpus.minijava (Rng.create 7) ~classes:2 );
+    ]
+  in
+  [
+    agree "record rolled back across a failed alternative" g "abc!";
+    agree "rollback agrees on rejection too" g "abc";
+    agree "unwinding pops through nested choices and loops" deep "abc--...x";
+    agree "nested unwinding agrees on rejection" deep "abc--";
+  ]
+  @ List.concat_map
+      (fun (name, g, corpus) ->
+        let opt = Pipeline.optimize g in
+        List.map
+          (fun (cfg_name, config) ->
+            agree ~configs:[ config ] ~accepts:true
+              (Printf.sprintf "%s corpus values equal (%s)" name cfg_name)
+              opt corpus)
+          [
+            ("optimized", Config.optimized);
+            ("packrat", Config.packrat);
+            ("no memo", Config.naive);
+          ])
+      corpora
+
+(* --- the reference interpreter's own answers ------------------------------- *)
+
+(* The oracle is only as good as its semantics, so it is also pinned to
+   hand-derived answers: value shaping, the farthest-failure report, the
+   uncapped expected set and partial parses. *)
+let reference_answer_tests =
+  let failure g input =
+    match Reference.parse g input with
+    | { Reference.result = Ok v; _ } ->
+        Alcotest.failf "accepted %S as %s" input (Value.to_string v)
+    | { result = Error f; consumed } -> (f, consumed)
+  in
+  let lower = Expr.plus (Expr.range 'a' 'z')
+  and digit = Expr.plus (Expr.range '0' '9') in
+  [
+    test "shapes values by kind, binding and drop" (fun () ->
+        let g =
+          Grammar.make_exn
+            [
+              Production.v ~attrs:(Attr.v ~kind:Attr.Generic ()) "Pair"
+                (Expr.seq
+                   [
+                     Expr.bind "l" (Expr.ref_ "Word");
+                     Expr.drop (Expr.cls (Charset.singleton ','));
+                     Expr.bind "r" (Expr.token digit);
+                   ]);
+              Production.v ~attrs:(Attr.v ~kind:Attr.Text ()) "Word" lower;
+            ]
         in
-        let closure = report Config.optimized and vm = report Config.vm in
-        check Alcotest.int "same position" (fst closure) (fst vm);
-        check
-          (Alcotest.list Alcotest.string)
-          "same expected set" (snd closure) (snd vm));
+        match (Reference.parse g "ab,12").Reference.result with
+        | Error _ -> Alcotest.fail "rejected"
+        | Ok v ->
+            check value_eq "node"
+              (Value.node "Pair"
+                 [ (Some "l", Value.Str "ab"); (Some "r", Value.Str "12") ])
+              v);
+    test "reports the farthest failure with every label there" (fun () ->
+        let g =
+          Grammar.make_exn
+            [ Production.v "P0" (Expr.alt [ Expr.str "ab"; Expr.str "ac"; Expr.str "x" ]) ]
+        in
+        let f, consumed = failure g "ad" in
+        check Alcotest.int "position" 1 f.Reference.position;
+        check Alcotest.int "labels" 2 (List.length f.Reference.expected);
+        check Alcotest.int "consumed" (-1) consumed);
+    test "keeps the expected set uncapped" (fun () ->
+        let g =
+          Grammar.make_exn
+            [
+              Production.v "P0"
+                (Expr.alt
+                   (List.init 40 (fun i -> Expr.str (Printf.sprintf "kw%02d!" i))));
+            ]
+        in
+        let f, _ = failure g "kw~~" in
+        check Alcotest.int "position" 2 f.Reference.position;
+        check Alcotest.int "all labels" 40 (List.length f.Reference.expected));
+    test "require_eof decides whether a prefix is a parse" (fun () ->
+        let g = Grammar.make_exn [ Production.v "P0" (Expr.token lower) ] in
+        (match Reference.parse ~require_eof:false g "ab1" with
+        | { Reference.result = Ok v; consumed } ->
+            check value_eq "prefix value" (Value.Str "ab") v;
+            check Alcotest.int "consumed" 2 consumed
+        | { result = Error _; _ } -> Alcotest.fail "prefix rejected");
+        let f, _ = failure g "ab1" in
+        check Alcotest.int "eof failure position" 2 f.Reference.position);
   ]
 
 let () =
@@ -759,8 +898,10 @@ let () =
       ("entry", entry_tests);
       ("memo", memo_tests);
       ("state", state_tests);
-      ("trace", trace_tests);
       ("pathological", path_tests);
       ("limits", limits_tests);
+      ("charsets", charset_tests);
       ("expected", expected_tests);
+      ("reference", reference_tests);
+      ("reference-answers", reference_answer_tests);
     ]

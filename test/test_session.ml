@@ -4,8 +4,9 @@
    script, [Session.reparse] is observationally identical to a cold
    parse of the final buffer — same value under [Value.equal], same
    farthest-failure position, same expected set, byte-identical
-   rendered error message. Checked after every reparse, under both
-   back ends and both memo strategies, with single edits and composed
+   rendered error message — and a warm reparse is the reference
+   interpreter's parse of the edited text. Checked after every reparse,
+   under both memo strategies, with single edits and composed
    multi-edit batches.
 
    Grammar and input generation mirrors test_props: stratified
@@ -230,16 +231,20 @@ let obs_print = function
 
 let configs =
   [
-    ("closure-chunked", Config.optimized);
-    ("closure-hashtable", Config.packrat);
-    ("vm", Config.vm);
-    ( "vm-hashtable",
-      Config.with_backend Config.Bytecode Config.packrat );
+    ("optimized", Config.optimized);
+    ("hashtable", Config.packrat);
+    ("chunked", Config.v ~memo:Config.Chunked ~honor_transient:true ());
+    ( "optimized-governed",
+      Config.with_limits
+        (Limits.v ~fuel:200_000 ~max_depth:200 ())
+        Config.optimized );
   ]
 
 let session_equiv_prop (label, cfg) count =
   QCheck.Test.make
-    ~name:(Printf.sprintf "reparse = cold parse of final buffer (%s)" label)
+    ~name:
+      (Printf.sprintf "reparse = cold parse = reference on final buffer (%s)"
+         label)
     ~count arb_case
     (fun (g, input, script) ->
       match Engine.prepare ~config:cfg g with
@@ -247,12 +252,17 @@ let session_equiv_prop (label, cfg) count =
       | Ok eng ->
           let session = Session.create eng input in
           let check tag =
-            let warm = obs_of (Session.reparse session) in
+            let result = Session.reparse session in
+            let warm = obs_of result in
             let cold = obs_of (parse eng (Session.text session)) in
             if not (obs_equal warm cold) then
               QCheck.Test.fail_reportf
                 "%s: session %s, cold %s (buffer %S)" tag (obs_print warm)
-                (obs_print cold) (Session.text session)
+                (obs_print cold) (Session.text session);
+            ignore
+              (Oracle.holds
+                 (Oracle.result_mismatch ~config:cfg g (Session.text session)
+                    result))
           in
           check "initial";
           let text = ref input in
@@ -276,33 +286,29 @@ let session_props =
   List.map (fun c -> session_equiv_prop c 150) configs
 
 (* Error rendering is deterministic: the same failing parse renders the
-   same message on repeated runs and on both back ends (expected sets
-   are sorted before display, so trace-discovery order cannot leak). *)
+   same message on repeated runs (expected sets are sorted before
+   display, so trace-discovery order cannot leak), and reports the
+   reference interpreter's position and expected set. *)
 let determinism_props =
   [
     QCheck.Test.make
-      ~name:"error messages are byte-identical across runs and backends"
+      ~name:"error messages are byte-identical across runs and are the \
+             reference's"
       ~count:300 arb_case
       (fun (g, input, _) ->
-        match
-          ( Engine.prepare ~config:Config.packrat g,
-            Engine.prepare
-              ~config:(Config.with_backend Config.Bytecode Config.packrat) g )
-        with
-        | Ok closure, Ok vm -> (
-            match (parse closure input, parse vm input) with
+        match Engine.prepare ~config:Config.packrat g with
+        | Ok eng -> (
+            let first = parse eng input in
+            Oracle.holds
+              (Oracle.result_mismatch ~config:Config.packrat g input first)
+            &&
+            match (first, parse eng input) with
             | Ok _, Ok _ -> true
-            | Error e1, Error e2 -> (
-                match parse closure input with
-                | Ok _ -> false
-                | Error e1' ->
-                    String.equal (Parse_error.to_string e1)
-                      (Parse_error.to_string e1')
-                    && String.equal (Parse_error.to_string e1)
-                         (Parse_error.to_string e2))
+            | Error e1, Error e2 ->
+                String.equal (Parse_error.to_string e1)
+                  (Parse_error.to_string e2)
             | _ -> false)
-        | Error _, Error _ -> true
-        | _ -> false);
+        | Error _ -> Oracle.refused g);
   ]
 
 (* Stats bookkeeping: reuse counters are per-reparse (reset each time),
@@ -350,7 +356,7 @@ let unit_tests =
 (* Arena-recycling equivalence: the memo arena and pooled scratch
    introduced for the allocation-free hot path must be invisible.
 
-   Two angles, both over closure and VM back ends, governed and
+   Two angles, over chunked and hashtable memo, governed and
    ungoverned:
 
    - Twin sessions driven through the identical edit script must agree
@@ -370,10 +376,10 @@ let governed_limits = Limits.v ~fuel:200_000 ~max_depth:200 ()
 
 let recycle_configs =
   [
-    ("closure", Config.optimized);
-    ("vm", Config.vm);
-    ("closure-governed", Config.with_limits governed_limits Config.optimized);
-    ("vm-governed", Config.with_limits governed_limits Config.vm);
+    ("optimized", Config.optimized);
+    ("hashtable", Config.packrat);
+    ("optimized-governed", Config.with_limits governed_limits Config.optimized);
+    ("hashtable-governed", Config.with_limits governed_limits Config.packrat);
   ]
 
 let stats_fields s = Stats.fields s

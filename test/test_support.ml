@@ -439,7 +439,7 @@ let source_edit_tests =
 
 (* --- Memo_arena ------------------------------------------------------------- *)
 
-(* Low-level checks of the flat chunk store both engines sit on; the
+(* Low-level checks of the flat chunk store the engine sits on; the
    end-to-end invariants (identical parses across recycling) live in
    test_session.ml. *)
 

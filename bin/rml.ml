@@ -596,10 +596,12 @@ let parse_cmd =
       & opt (some float) None
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Give up after roughly SECONDS of wall clock (exit 4). \
-             Implemented signal-free by running with a bounded fuel slice \
-             and doubling it while time remains, so the engine stays \
-             deterministic.")
+            "Give up after roughly SECONDS of monotonic clock (exit 4); \
+             under --batch, the deadline of each document. Signal-free: \
+             the engine polls the clock every 65536 invocations and stops \
+             the parse at that boundary, so a parse that finishes in time \
+             is unchanged. A --fuel budget that runs out first is \
+             reported as fuel exhaustion.")
   in
   let max_input_arg =
     Arg.(
@@ -621,7 +623,7 @@ let parse_cmd =
              compile the grammar once, then parse every document named by \
              MANIFEST (one path per line, '#' comments) or streamed on \
              standard input ('-', documents separated by --batch-sep). Each \
-             document gets its own resource budgets and --doc-timeout \
+             document gets its own resource budgets and --timeout \
              deadline; every failure — malformed input, budget trip, \
              unreadable file, even an engine bug — becomes a JSON-lines \
              record on stdout instead of ending the run. Documents that \
@@ -653,17 +655,6 @@ let parse_cmd =
              those budgets so the governor trips), skew@NS (step the \
              deadline clock by NS nanoseconds after arming). Example: \
              'seed=7,rate=0.5,trunc@64,fuel@10000'.")
-  in
-  let doc_timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "doc-timeout" ] ~docv:"SECONDS"
-          ~doc:
-            "Per-document deadline for --batch runs, measured on the \
-             monotonic clock with the same signal-free fuel-slice \
-             discipline as --timeout. An expired document is recorded as a \
-             resource failure ('deadline') and the batch moves on.")
   in
   let edits_arg =
     Arg.(
@@ -743,7 +734,7 @@ let parse_cmd =
   in
   let run files builtin root start optimize config fuel max_depth max_memo
       max_input timeout input use_stdin mmap batch batch_sep faults_spec
-      doc_timeout recognize stats quiet edits profile ring metrics_out
+      recognize stats quiet edits profile ring metrics_out
       trace_out progress stats_json =
     guarded @@ fun () ->
     (* Resolve where the document comes from before any heavy work, so
@@ -763,12 +754,11 @@ let parse_cmd =
       | Some _ -> (
           if
             input <> None || use_stdin || mmap || edits <> None || profile
-            || ring <> None || timeout <> None
+            || ring <> None
           then
             input_err
               "--batch is incompatible with \
-               --input/--stdin/--mmap/--edits/--profile/--trace-ring/--timeout \
-               (use --doc-timeout for per-document deadlines)"
+               --input/--stdin/--mmap/--edits/--profile/--trace-ring"
           else if stats_json then
             input_err
               "--stats-json requires a single-document parse (batch records \
@@ -784,8 +774,6 @@ let parse_cmd =
                 match faults_plan with Error m -> input_err m | Ok _ -> None))
       | None ->
           if faults_spec <> None then input_err "--faults requires --batch"
-          else if doc_timeout <> None then
-            input_err "--doc-timeout requires --batch"
           else if metrics_out <> None then
             input_err "--metrics requires --batch"
           else if trace_out <> None then
@@ -878,7 +866,7 @@ let parse_cmd =
               match faults_plan with Ok p -> p | Error _ -> Rats.Faults.none
             in
             let deadline_ns =
-              Option.map (fun s -> int_of_float (s *. 1e9)) doc_timeout
+              Option.map (fun s -> int_of_float (s *. 1e9)) timeout
             in
             let source =
               if spec = "-" then
@@ -1112,80 +1100,47 @@ let parse_cmd =
                           exit_resource
                         else exit_parse))
             | None -> (
-            let run_governed () =
-              match timeout with
-              | None ->
-                  Ok (eng, Rats.Engine.run_input eng (Rats.Source.input source))
-              | Some seconds ->
-                  (* Fuel-slice polling: parse under a small fuel budget,
-                     and while the deadline has not passed, double the
-                     slice and retry. Runs are deterministic, so retries
-                     cost only time. The slice never exceeds an explicit
-                     --fuel budget, so combining --fuel with --timeout
-                     honors whichever budget is smaller: a fuel trip at
-                     the full budget is reported as fuel exhaustion, not
-                     retried. *)
-                  (* Monotonic clock (Profile's CLOCK_MONOTONIC source):
-                     wall-clock steps — NTP jumps, suspend/resume —
-                     can neither hang the loop nor spuriously trip it. *)
-                  let deadline =
-                    Rats.Profile.now_ns () + int_of_float (seconds *. 1e9)
-                  in
-                  let budget = config.Rats.Config.limits.Rats.Limits.fuel in
-                  let rec go slice =
-                    let capped =
-                      { config.Rats.Config.limits with Rats.Limits.fuel = slice }
-                    in
-                    match
-                      Rats.Engine.prepare
-                        ~config:(Rats.Config.with_limits capped config) g
-                    with
-                    | Error ds -> Error ds
-                    | Ok eng' -> (
-                        let out =
-                          Rats.Engine.run_input eng' (Rats.Source.input source)
-                        in
-                        match out.Rats.Engine.result with
-                        | Error e
-                          when Rats.Parse_error.exhausted_which e
-                               = Some Rats.Limits.Fuel
-                               && slice < budget ->
-                            if Rats.Profile.now_ns () >= deadline then (
-                              Fmt.epr "rml: timeout of %gs exceeded@." seconds;
-                              Ok (eng', out))
-                            else
-                              go
-                                (if slice > budget / 2 then budget
-                                 else slice * 2)
-                        | _ -> Ok (eng', out))
-                  in
-                  go (min budget 65536)
-            in
-            match run_governed () with
-            | Error ds -> print_errors ds
-            | Ok (eng_used, out) -> (
+                (* Monotonic clock (Profile's CLOCK_MONOTONIC source):
+                   wall-clock steps — NTP jumps, suspend/resume — can
+                   neither hang the parse nor spuriously stop it. *)
+                let expired =
+                  Option.map
+                    (fun seconds ->
+                      let deadline =
+                        Rats.Profile.now_ns () + int_of_float (seconds *. 1e9)
+                      in
+                      fun () -> Rats.Profile.now_ns () >= deadline)
+                    timeout
+                in
+                let out =
+                  Rats.Engine.run_input eng ?expired (Rats.Source.input source)
+                in
                 (if stats then
                    Fmt.pr "stats: %a@." Rats.Stats.pp out.Rats.Engine.stats);
                 if stats_json then
                   print_endline (Rats.Stats.to_json out.Rats.Engine.stats);
-                print_profile eng_used;
+                print_profile eng;
                 match out.Rats.Engine.result with
                 | Ok v ->
                     if not quiet then Fmt.pr "%s@." (Rats.Value.to_string v);
                     0
                 | Error e ->
+                    (match (timeout, Rats.Parse_error.exhausted_which e) with
+                    | Some seconds, Some Rats.Limits.Deadline ->
+                        Fmt.epr "rml: timeout of %gs exceeded@." seconds
+                    | _ -> ());
                     Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e);
-                    dump_ring eng_used (Rats.Source.text source);
+                    dump_ring eng (Rats.Source.text source);
                     if Rats.Parse_error.exhausted_which e <> None then
                       exit_resource
-                    else exit_parse))))))
+                    else exit_parse)))))
   in
   Cmd.v (Cmd.info "parse" ~doc:"Parse an input file with a composed grammar.")
     Term.(
       const run $ files_arg $ builtin_arg $ root_arg $ start_arg
       $ optimize_arg $ config_arg $ fuel_arg $ max_depth_arg $ max_memo_arg
       $ max_input_arg $ timeout_arg $ input_arg $ stdin_arg $ mmap_arg
-      $ batch_arg $ batch_sep_arg $ faults_arg $ doc_timeout_arg
+      $ batch_arg $ batch_sep_arg $ faults_arg
       $ recognize_arg $ stats_arg $ quiet_arg $ edits_arg
       $ profile_flag_arg $ trace_ring_arg $ metrics_arg $ trace_out_arg
       $ progress_arg $ stats_json_arg)

@@ -421,27 +421,6 @@ let fault_label = function
   | Faults.Memo_cap k -> Printf.sprintf "memo@%d" k
   | Faults.Clock_skew k -> Printf.sprintf "skew@%d" k
 
-let backstopped f =
-  try f () with
-  | Stack_overflow ->
-      {
-        Engine.result =
-          Error
-            (Parse_error.resource_exhausted ~which:Limits.Depth ~at:0
-               ~consumed:0 ());
-        stats = Stats.create ();
-        consumed = -1;
-      }
-  | Out_of_memory ->
-      {
-        Engine.result =
-          Error
-            (Parse_error.resource_exhausted ~which:Limits.Memory ~at:0
-               ~consumed:0 ());
-        stats = Stats.create ();
-        consumed = -1;
-      }
-
 let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
     ?(faults = Faults.none) ?now_ns ?metrics ?spans
     ?(on_record = fun _ -> ()) g src =
@@ -583,28 +562,22 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
             | Ok contents ->
                 let bytes = String.length contents in
                 let input = Input.of_string contents in
-                let skew = Faults.clock_skew_ns dfaults in
-                (* first reading arms the deadline unskewed; every poll
-                   after it sees the injected clock step *)
-                let armed = ref false in
-                let clock () =
-                  let t = raw_now () in
-                  if skew = 0 then t
-                  else if !armed then t + skew
-                  else begin
-                    armed := true;
-                    t
-                  end
+                (* the reading that arms the deadline is unskewed;
+                   every poll after it sees the injected clock step *)
+                let expired =
+                  Option.map
+                    (fun d ->
+                      let skew = Faults.clock_skew_ns dfaults in
+                      let deadline = raw_now () + d in
+                      fun () -> raw_now () + skew >= deadline)
+                    deadline_ns
                 in
-                let deadline = Option.map (fun d -> clock () + d) deadline_ns in
-                let run_once rung lim =
+                let attempt rung =
                   (* the erased grammar keeps every production name, so
                      the start override applies to both rungs *)
-                  let eng = engine_for rung lim in
+                  let eng = engine_for rung eff in
                   let ta = span_now () in
-                  let o =
-                    backstopped (fun () -> Engine.run_input eng ?start input)
-                  in
+                  let o = Engine.run_input eng ?start ?expired input in
                   (match spans with
                   | None -> ()
                   | Some sp ->
@@ -618,64 +591,37 @@ let run ?(config = Config.optimized) ?limits ?start ?deadline_ns
                   note eng o;
                   o
                 in
-                (* the --timeout discipline, monotonic: parse under a
-                   doubling fuel slice until the answer is not a
-                   fuel trip, the budget is reached, or the clock is. *)
-                let attempt rung =
-                  match deadline with
-                  | None -> (run_once rung eff, false)
-                  | Some dl ->
-                      let budget = eff.Limits.fuel in
-                      let rec go slice =
-                        let o = run_once rung { eff with Limits.fuel = slice } in
-                        let fuel_trip =
-                          match o.Engine.result with
-                          | Error e ->
-                              Parse_error.exhausted_which e = Some Limits.Fuel
-                          | Ok _ -> false
-                        in
-                        if (not fuel_trip) || slice >= budget then (o, false)
-                        else if clock () >= dl then (o, true)
-                        else
-                          go
-                            (if slice > max_int / 2 then budget
-                             else min budget (slice * 2))
-                      in
-                      go (min budget 65536)
-                in
-                let finish ~rung ~retried (o : Engine.outcome) expired =
+                let finish ~rung ~retried (o : Engine.outcome) =
                   match o.Engine.result with
                   | Ok _ -> mk ~rung ~retried ~bytes ()
                   | Error e ->
                       let fail, which =
-                        if expired then (Resource "deadline", Some "deadline")
-                        else
-                          match Parse_error.exhausted_which e with
-                          | Some w ->
-                              let n = Limits.which_name w in
-                              (Resource n, Some n)
-                          | None -> (Syntax, None)
+                        match Parse_error.exhausted_which e with
+                        | Some w ->
+                            let n = Limits.which_name w in
+                            (Resource n, Some n)
+                        | None -> (Syntax, None)
                       in
                       mk ~rung ~retried ~bytes ~fail ?which
                         ~position:e.Parse_error.position
                         ~message:(Parse_error.message e) ()
                 in
-                let o1, expired1 = attempt Full in
+                (* a deadline or input-cap trip and a syntax error are
+                   final: a cheaper rung cannot change them *)
+                let o1 = attempt Full in
                 let retryable =
-                  (not expired1)
-                  && rec_grammar <> None
-                  && (match o1.Engine.result with
-                     | Error e -> (
-                         match Parse_error.exhausted_which e with
-                         | Some (Limits.Fuel | Limits.Depth | Limits.Memory) ->
-                             true
-                         | _ -> false)
-                     | Ok _ -> false)
+                  rec_grammar <> None
+                  &&
+                  match o1.Engine.result with
+                  | Error e -> (
+                      match Parse_error.exhausted_which e with
+                      | Some (Limits.Fuel | Limits.Depth | Limits.Memory) ->
+                          true
+                      | _ -> false)
+                  | Ok _ -> false
                 in
-                if not retryable then finish ~rung:Full ~retried:false o1 expired1
-                else
-                  let o2, expired2 = attempt Recognizer in
-                  finish ~rung:Recognizer ~retried:true o2 expired2
+                if not retryable then finish ~rung:Full ~retried:false o1
+                else finish ~rung:Recognizer ~retried:true (attempt Recognizer)
           with
           | Stack_overflow ->
               mk ~fail:(Resource "depth") ~which:"depth"

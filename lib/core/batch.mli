@@ -12,10 +12,10 @@
 
     {b Budgets and deadlines.} Every document runs under its own
     {!Rats_runtime.Limits.t} snapshot plus an optional monotonic
-    deadline. Deadlines reuse the [--timeout] fuel-slice discipline:
-    the parse runs under a bounded fuel slice that doubles while the
-    clock allows, so a stuck parse is abandoned at a deterministic
-    grammar-level point, signal-free.
+    deadline, handed to the engine as its deadline predicate: the
+    engine polls it between fuel slices of one run, so a stuck parse is
+    abandoned at a slice boundary, signal-free, and a parse that beats
+    its deadline is exactly the parse without one.
 
     {b The degradation ladder.} A document that trips the fuel, depth
     or memory budget is retried one rung down: {e recognizer mode},
@@ -28,9 +28,8 @@
     canonical reason a budgeted parse ran out of fuel in the first
     place: memo degradation re-runs invocations. The record says which
     rung answered; only when the bottom rung also trips does the
-    document hard-fail. Syntax errors and input-cap trips never
-    descend: they are deterministic, a cheaper rerun cannot change
-    them. *)
+    document hard-fail. Syntax errors, input-cap and deadline trips
+    never descend: a cheaper rerun cannot change them. *)
 
 open Rats_support
 open Rats_peg
@@ -64,8 +63,8 @@ val recognizer_erase : Grammar.t -> Grammar.t option
 type fail_class =
   | Syntax  (** the document does not match the grammar *)
   | Resource of string
-      (** a budget ran out; carries the budget name ([fuel], [depth],
-          [memory], [input]) or ["deadline"] *)
+      (** a budget ran out; carries its {!Limits.which_name} ([fuel],
+          [depth], [memory], [input] or [deadline]) *)
   | Io  (** the document could not be read (missing file, injected or
             real I/O failure) *)
   | Internal
@@ -86,7 +85,7 @@ type record = {
   r_ms : float;  (** wall time for the document, retries included *)
   r_memo_degraded : int;
       (** summed {!Stats.t.memo_degraded} across every engine run this
-          document triggered (slice reruns and ladder retries included) *)
+          document triggered: one, or two after a ladder retry *)
   r_fuel_used : int;  (** summed {!Stats.t.fuel_used}, same scope *)
 }
 
@@ -132,8 +131,9 @@ val run :
     {!Rats.parser_of}) and parses every document of [src] under
     per-document isolation.
 
-    [deadline_ns] arms a monotonic per-document deadline; [now_ns]
-    overrides the clock (default {!Profile.now_ns}) — tests inject a
+    [deadline_ns] arms a monotonic per-document deadline, read when the
+    document's parse starts and polled at every fuel-slice boundary;
+    [now_ns] overrides the clock (default {!Profile.now_ns}) — tests inject a
     synthetic clock to make records, including [r_ms], fully
     deterministic. [faults] applies a {!Faults.t} plan: read faults in
     the document read path, fuel/memo caps folded into that document's

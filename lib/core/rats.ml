@@ -86,20 +86,7 @@ let parser_of ?(optimize = true) ?passes ?(config = Config.optimized) ?limits g
   | Error ds -> Error ds
   | Ok o -> Engine.prepare ~config o.Driver.grammar
 
-(* The engines convert runaway recursion and allocation into structured
-   errors themselves; this is the last-resort backstop for anything that
-   slips past them (e.g. unlimited configs on hostile input). *)
-let parse_input eng ?start input =
-  try (Engine.run_input eng ?start input).Engine.result with
-  | Stack_overflow ->
-      Error
-        (Parse_error.resource_exhausted ~which:Limits.Depth ~at:0 ~consumed:0
-           ())
-  | Out_of_memory ->
-      Error
-        (Parse_error.resource_exhausted ~which:Limits.Memory ~at:0 ~consumed:0
-           ())
-
+let parse_input eng ?start input = (Engine.run_input eng ?start input).Engine.result
 let parse eng ?start input = parse_input eng ?start (Input.of_string input)
 
 module Session = struct
@@ -150,27 +137,6 @@ module Session = struct
      from-scratch parse by construction — memo hits in the incremental
      pass hide part of the expected-set trace. *)
   let reparse t =
-    let backstopped f =
-      try f () with
-      | Stack_overflow ->
-          {
-            Engine.result =
-              Error
-                (Parse_error.resource_exhausted ~which:Limits.Depth ~at:0
-                   ~consumed:0 ());
-            stats = Stats.create ();
-            consumed = -1;
-          }
-      | Out_of_memory ->
-          {
-            Engine.result =
-              Error
-                (Parse_error.resource_exhausted ~which:Limits.Memory ~at:0
-                   ~consumed:0 ());
-            stats = Stats.create ();
-            consumed = -1;
-          }
-    in
     (* An observed engine sees the session machinery too: the ring
        shows what the store contributed before the run's own events. *)
     (match Engine.observation t.eng with
@@ -178,9 +144,8 @@ module Session = struct
         Observe.session_reuse o ~reused:t.survivors ~relocated:t.relocated
     | _ -> ());
     let o =
-      backstopped (fun () ->
-          Engine.run_store_input t.eng t.store ?start:t.start
-            (Source.input t.source))
+      Engine.run_store_input t.eng t.store ?start:t.start
+        (Source.input t.source)
     in
     let reused = t.survivors and relocated = t.relocated in
     t.relocated <- 0;
@@ -190,8 +155,7 @@ module Session = struct
       | Ok _ -> o
       | Error _ ->
           t.cold_fallbacks <- t.cold_fallbacks + 1;
-          backstopped (fun () ->
-              Engine.run_input t.eng ?start:t.start (Source.input t.source))
+          Engine.run_input t.eng ?start:t.start (Source.input t.source)
     in
     Stats.reset t.stats;
     Stats.add t.stats o.Engine.stats;

@@ -107,9 +107,9 @@ val parse :
   Engine.t -> ?start:string -> string -> (Value.t, Parse_error.t) result
 (** Parse with the engine's configured {!Limits.t}. Never raises on any
     input: budget exhaustion comes back as a {!Parse_error.t} whose
-    [kind] is {!Parse_error.kind.Resource_exhausted}, and an uncaught
-    [Stack_overflow]/[Out_of_memory] from an {e unlimited} engine is
-    converted to the same shape as a last resort. *)
+    [kind] is {!Parse_error.kind.Resource_exhausted}, and the engine's
+    last-resort backstop converts a [Stack_overflow]/[Out_of_memory]
+    from an {e unlimited} engine to the same shape. *)
 
 val parse_input :
   Engine.t -> ?start:string -> Input.t -> (Value.t, Parse_error.t) result

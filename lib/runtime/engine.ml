@@ -28,7 +28,9 @@ type st = {
   (* farthest input position the current memoized invocation has looked
      at; saved/reset at memoized entry, max-merged back at return *)
   (* resource governor *)
-  mutable fuel : int;  (* remaining invocation budget, counts down *)
+  mutable fuel : int;  (* remaining fuel of the current slice, counts down *)
+  mutable reserve : int;  (* budget not yet granted as slices *)
+  expired : unit -> bool;  (* deadline poll, asked between slices *)
   mutable depth : int;  (* live invocation nesting *)
   mutable memo_bytes : int;  (* approximate memo storage charged so far *)
   mutable tripped : (Limits.which * int) option;
@@ -40,6 +42,24 @@ type st = {
    backtracking into another alternative would keep burning the budget
    that is already gone. *)
 exception Exhausted
+
+(* A run with a deadline draws its fuel budget in slices of this many
+   invocations and polls the deadline between them. *)
+let slice = 65_536
+
+(* Cold path of the fuel charge: the current slice is spent. Grant the
+   next one from the reserve while the deadline allows; an empty
+   reserve is the real budget running out. Runs without a deadline
+   start with the whole budget as one slice and no reserve. *)
+let[@inline never] refuel st pos =
+  if st.reserve > 0 && not (st.expired ()) then (
+    let grant = min slice st.reserve in
+    st.reserve <- st.reserve - grant;
+    st.fuel <- st.fuel + grant)
+  else (
+    st.tripped <-
+      Some ((if st.reserve = 0 then Limits.Fuel else Limits.Deadline), pos);
+    raise Exhausted)
 
 type fn = st -> int -> int
 (* Returns the new position, or -1 on failure. Value-building matchers
@@ -765,9 +785,7 @@ let prepare ?(config = Config.optimized) gram =
       let chunk_cost = Limits.chunk_cost ~value_slots:nvslots nslots in
       let charge st pos =
         st.fuel <- st.fuel - 1;
-        if st.fuel < 0 then (
-          st.tripped <- Some (Limits.Fuel, pos);
-          raise Exhausted)
+        if st.fuel < 0 then refuel st pos
       in
       let enter st pos =
         if st.depth >= max_depth then (
@@ -1171,7 +1189,27 @@ let edit_store t (s : store) ~start ~old_len ~new_len =
     s.c_len <- s.c_len + delta);
   (!reused, !relocated)
 
-let run_with t ?store ?start ~require_eof input =
+(* A run that ends before its body: the input cap, or the backstop
+   tripping during setup. *)
+let trip_outcome (t : t) which ~at =
+  (match t.obs with Some o -> Observe.trip o which at | None -> ());
+  {
+    result =
+      Error (Parse_error.resource_exhausted ~which ~at ~consumed:0 ());
+    stats = Stats.create ();
+    consumed = -1;
+  }
+
+(* The last-resort backstop's verdicts: an ungoverned (or
+   under-governed) run hit the OS stack before any depth budget, or the
+   heap gave out — in the body or while setting up its memo storage. *)
+let backstop_which = function
+  | Stack_overflow -> Limits.Depth
+  | _ -> Limits.Memory
+
+let never () = false
+
+let run_with t ?store ?expired ?start ~require_eof input =
   let start_id =
     match start with
     | None -> Hashtbl.find t.ids (Grammar.start t.gram)
@@ -1184,20 +1222,8 @@ let run_with t ?store ?start ~require_eof input =
                  (Diagnostic.errorf "no production named %S" name)))
   in
   let limits = t.cfg.Config.limits in
-  if Input.length input > limits.Limits.max_input_bytes then (
-    (match t.obs with
-    | Some o -> Observe.trip o Limits.Input limits.Limits.max_input_bytes
-    | None -> ());
-    {
-      result =
-        Error
-          (Parse_error.resource_exhausted ~which:Limits.Input
-             ~at:limits.Limits.max_input_bytes ~consumed:0 ());
-      stats = Stats.create ();
-      consumed = -1;
-    })
-  else
-    let len = Input.length input in
+  let len = Input.length input in
+  let setup () =
     (* Sync a persistent store to this input: entries only carry over
        when the store was edited to exactly this length (Session does
        that); any mismatch resets it rather than risking stale hits. *)
@@ -1242,6 +1268,12 @@ let run_with t ?store ?start ~require_eof input =
               | _ -> Hashtbl.clear sc.sc_table);
               Some sc)
     in
+    (* A deadline splits the fuel budget into slices (see [refuel]). *)
+    let fuel =
+      match expired with
+      | None -> limits.Limits.fuel
+      | Some _ -> min slice limits.Limits.fuel
+    in
     let st =
       {
         input;
@@ -1262,70 +1294,76 @@ let run_with t ?store ?start ~require_eof input =
           | None, Some sc -> sc.sc_arena
           | None, None -> t.dummy_arena);
         examined = -1;
-        fuel = limits.Limits.fuel;
+        fuel;
+        reserve = limits.Limits.fuel - fuel;
+        expired = Option.value expired ~default:never;
         depth = 0;
         memo_bytes = (match store with Some s -> s.c_bytes | None -> 0);
         tripped = None;
         quiet = 0;
       }
     in
-    let p =
-      try t.full.(start_id) st 0 with
-      | Exhausted -> -1
-      | Stack_overflow ->
-          (* last-resort backstop: an ungoverned (or under-governed) run
-             hit the OS stack before any depth budget *)
-          st.tripped <-
-            Some (Limits.Depth, max (Expected.farthest st.fail_trace) 0);
-          -1
-      | Out_of_memory ->
-          st.tripped <-
-            Some (Limits.Memory, max (Expected.farthest st.fail_trace) 0);
-          -1
-    in
-    (* clamp: a fuel trip leaves st.fuel at -1; report the budget, not
-       budget + 1 *)
-    st.stats.Stats.fuel_used <- limits.Limits.fuel - max st.fuel 0;
-    (match store with
-    | None -> ()
-    | Some s ->
-        s.c_bytes <- st.memo_bytes;
-        s.c_version <- st.version);
-    (* Park the scratch for the next run, minus any parse results: the
-       final value lives in [st.value], so dropping the memo's value
-       references here costs nothing observable. *)
-    (match scratch with
-    | None -> ()
-    | Some sc ->
-        (match t.cfg.Config.memo with
-        | Config.Chunked -> Memo_arena.release_values sc.sc_arena
-        | _ -> ());
-        Hashtbl.clear sc.sc_table;
-        Atomic.set t.pool (Some sc));
-    (* The trip event and frame cleanup happen after the run body, off
-       any budget: the ring must describe an exhausted run without
-       changing where it tripped. *)
-    (match t.obs with
-    | None -> ()
-    | Some o ->
-        (match st.tripped with
-        | Some (which, at) -> Observe.trip o which at
-        | None -> ());
-        Observe.finalize o);
-    let result =
-      match st.tripped with
-      | Some (which, at) -> Error (Expected.exhausted st.fail_trace ~which ~at)
-      | None ->
-          Expected.result st.fail_trace ~len:st.len ~require_eof ~stop:p
-            st.value
-    in
-    { result; stats = st.stats; consumed = p }
+    (scratch, st)
+  in
+  if len > limits.Limits.max_input_bytes then
+    trip_outcome t Limits.Input ~at:limits.Limits.max_input_bytes
+  else
+    match setup () with
+    | exception ((Stack_overflow | Out_of_memory) as e) ->
+        trip_outcome t (backstop_which e) ~at:0
+    | scratch, st ->
+        let p =
+          try t.full.(start_id) st 0 with
+          | Exhausted -> -1
+          | (Stack_overflow | Out_of_memory) as e ->
+              st.tripped <-
+                Some (backstop_which e, max (Expected.farthest st.fail_trace) 0);
+              -1
+        in
+        (* clamp: a trip leaves st.fuel at -1; report the fuel granted, not
+           one more *)
+        st.stats.Stats.fuel_used <-
+          limits.Limits.fuel - st.reserve - max st.fuel 0;
+        (match store with
+        | None -> ()
+        | Some s ->
+            s.c_bytes <- st.memo_bytes;
+            s.c_version <- st.version);
+        (* Park the scratch for the next run, minus any parse results: the
+           final value lives in [st.value], so dropping the memo's value
+           references here costs nothing observable. *)
+        (match scratch with
+        | None -> ()
+        | Some sc ->
+            (match t.cfg.Config.memo with
+            | Config.Chunked -> Memo_arena.release_values sc.sc_arena
+            | _ -> ());
+            Hashtbl.clear sc.sc_table;
+            Atomic.set t.pool (Some sc));
+        (* The trip event and frame cleanup happen after the run body, off
+           any budget: the ring must describe an exhausted run without
+           changing where it tripped. *)
+        (match t.obs with
+        | None -> ()
+        | Some o ->
+            (match st.tripped with
+            | Some (which, at) -> Observe.trip o which at
+            | None -> ());
+            Observe.finalize o);
+        let result =
+          match st.tripped with
+          | Some (which, at) -> Error (Expected.exhausted st.fail_trace ~which ~at)
+          | None ->
+              Expected.result st.fail_trace ~len:st.len ~require_eof ~stop:p
+                st.value
+        in
+        { result; stats = st.stats; consumed = p }
 
-let run_input t ?start ?(require_eof = true) input =
-  run_with t ?start ~require_eof input
+let run_input t ?start ?(require_eof = true) ?expired input =
+  run_with t ?expired ?start ~require_eof input
 
-let run t ?start ?require_eof input =
-  run_input t ?start ?require_eof (Input.of_string input)
+let run t ?start ?require_eof ?expired input =
+  run_input t ?start ?require_eof ?expired (Input.of_string input)
 
 let parse t ?start input = (run t ?start input).result
 let accepts t ?start input = Result.is_ok (parse t ?start input)

@@ -58,12 +58,36 @@ type outcome = {
           [~require_eof:false] *)
 }
 
-val run : t -> ?start:string -> ?require_eof:bool -> string -> outcome
+val run :
+  t ->
+  ?start:string ->
+  ?require_eof:bool ->
+  ?expired:(unit -> bool) ->
+  string ->
+  outcome
 (** [run t input] parses [input] from the start production ([start]
     overrides by flat production name). With [require_eof] (default
-    [true]) the start production must consume the whole input. *)
+    [true]) the start production must consume the whole input. A run
+    that exhausts the OS stack or the heap — in its body or while
+    setting up its memo storage — returns a {!Limits.Depth} or
+    {!Limits.Memory} trip instead of raising: the last-resort backstop
+    every caller shares.
 
-val run_input : t -> ?start:string -> ?require_eof:bool -> Input.t -> outcome
+    [expired] gives the run a deadline. The fuel budget is then drawn in
+    slices of 65,536 invocations, and [expired] is polled each time a
+    slice runs out: [false] grants the next slice and the same parse
+    carries on; [true] ends it with a {!Limits.Deadline} trip at that
+    boundary. The real budget running out still trips {!Limits.Fuel},
+    without a poll. Slicing only splits the count — a run whose deadline
+    never expires is identical to a run without one, [Stats] included. *)
+
+val run_input :
+  t ->
+  ?start:string ->
+  ?require_eof:bool ->
+  ?expired:(unit -> bool) ->
+  Input.t ->
+  outcome
 (** {!run} over an {!Input.t} buffer — the general entry point; [run]
     wraps the string case. A Bigarray-backed input
     (e.g. {!Input.map_file}) is parsed in place with no copy; results,

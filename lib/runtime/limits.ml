@@ -29,19 +29,21 @@ let is_unlimited t =
   t.fuel = max_int && t.max_depth = max_int && t.max_memo_bytes = max_int
   && t.max_input_bytes = max_int
 
-type which = Fuel | Depth | Memory | Input
+type which = Fuel | Depth | Memory | Input | Deadline
 
 let which_name = function
   | Fuel -> "fuel"
   | Depth -> "depth"
   | Memory -> "memory"
   | Input -> "input"
+  | Deadline -> "deadline"
 
 let which_message = function
   | Fuel -> "fuel budget exhausted"
   | Depth -> "recursion depth limit exceeded"
   | Memory -> "memory limit exceeded"
   | Input -> "input longer than the configured limit"
+  | Deadline -> "deadline passed"
 
 let pp_which ppf w = Format.pp_print_string ppf (which_name w)
 

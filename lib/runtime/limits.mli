@@ -9,7 +9,8 @@
 
     Budgets are deterministic counts, not wall-clock or GC samples, so a
     given (grammar, input, limits) triple always trips the same limit at
-    the same point. *)
+    the same point. A deadline is the one exception, and it is not part
+    of [t]: the caller passes it per run (see {!which}). *)
 
 type t = {
   fuel : int;
@@ -51,8 +52,12 @@ val is_unlimited : t -> bool
 
 (** Which budget a parse ran out of. [Memory] is only produced by the
     last-resort [Out_of_memory] backstop — the memo budget itself never
-    errors, it degrades. *)
-type which = Fuel | Depth | Memory | Input
+    errors, it degrades. [Deadline] is the one clock-driven trip: a run
+    given a deadline predicate ([Engine.run_input]'s [expired]) polls
+    it between fuel slices, so it lands only at a slice boundary, and
+    only while fuel is left — a run that reaches its fuel budget reports
+    [Fuel]. *)
+type which = Fuel | Depth | Memory | Input | Deadline
 
 val which_name : which -> string
 val which_message : which -> string

@@ -156,12 +156,14 @@ let which_ord = function
   | Limits.Depth -> 1
   | Limits.Memory -> 2
   | Limits.Input -> 3
+  | Limits.Deadline -> 4
 
 let which_of_ord = function
   | 0 -> Limits.Fuel
   | 1 -> Limits.Depth
   | 2 -> Limits.Memory
-  | _ -> Limits.Input
+  | 3 -> Limits.Input
+  | _ -> Limits.Deadline
 
 let trip t which at = push t Govern_trip (which_ord which) at (-1)
 

@@ -409,9 +409,9 @@ let exit_matrix_tests =
         "parse -b calc --batch - --faults zoom@3",
         Some "",
         2 );
-      ( "batch usage: --doc-timeout without --batch",
-        Printf.sprintf "parse -b calc -i %s --doc-timeout 1" good,
-        None,
+      ( "batch usage: --trace-ring with --batch",
+        "parse -b calc --batch - --trace-ring 8 --timeout 1",
+        Some "",
         2 );
     ]
   in
@@ -522,14 +522,14 @@ let batch_tests =
         check Alcotest.int "rate-0 exit" 0 code';
         check Alcotest.bool "no injection" false
           (contains out' "injected I/O fault"));
-    test "--doc-timeout turns a stuck doc into a deadline record" (fun () ->
+    test "--timeout turns a stuck doc into a deadline record" (fun () ->
         let huge =
           "1" ^ String.concat "" (List.init 20_000 (fun _ -> "+1"))
         in
         let code, out =
           run_with_stdin
             (huge ^ "\n1+2\n")
-            "parse -b calc --batch - --batch-sep line --doc-timeout 0.000001"
+            "parse -b calc --batch - --batch-sep line --timeout 0.000001"
         in
         check Alcotest.int "exit" 4 code;
         check Alcotest.bool "deadline record" true

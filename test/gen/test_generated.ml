@@ -1,46 +1,58 @@
 (* The generated-code contract: a parser emitted by the code generator
-   accepts exactly the same inputs as the interpretive engine and builds
-   structurally equal trees. *)
+   accepts exactly the same inputs as the interpretive engine and the
+   reference interpreter, and builds structurally equal trees. *)
 
 open Rats
 
 let check = Alcotest.check
 let test name f = Alcotest.test_case name `Quick f
 
-let engine_for g = Engine.prepare_exn ~config:Config.optimized (Pipeline.optimize g)
-
-let agree name eng generated inputs =
+(* Generated parsers are emitted from the optimized grammar; the engine
+   and the reference parse that same grammar. *)
+let agree name g generated inputs =
+  let g = Pipeline.optimize g in
+  let eng = Engine.prepare_exn ~config:Config.optimized g in
   List.iteri
     (fun i input ->
-      match (Engine.parse eng input, generated input) with
+      let fail fmt = Alcotest.failf ("%s #%d %S: " ^^ fmt) name i input in
+      let gen = generated input in
+      (match (Engine.parse eng input, gen) with
       | Ok a, Ok b ->
           if not (Value.equal a b) then
-            Alcotest.failf "%s #%d %S: trees differ\n%s\nvs\n%s" name i input
+            fail "trees differ\n%s\nvs\n%s" (Value.to_string a)
+              (Value.to_string b)
+      | Error _, Error _ -> ()
+      | Ok _, Error e -> fail "generated rejects (%s)" e
+      | Error e, Ok _ ->
+          fail "generated accepts (engine: %s)" (Parse_error.message e));
+      match ((Reference.parse g input).Reference.result, gen) with
+      | Ok a, Ok b ->
+          if not (Value.equal a b) then
+            fail "trees differ from the reference\n%s\nvs\n%s"
               (Value.to_string a) (Value.to_string b)
       | Error _, Error _ -> ()
-      | Ok _, Error e ->
-          Alcotest.failf "%s #%d %S: generated rejects (%s)" name i input e
-      | Error e, Ok _ ->
-          Alcotest.failf "%s #%d %S: generated accepts (engine: %s)" name i
-            input (Parse_error.message e))
+      | Ok _, Error e -> fail "generated rejects (%s), the reference accepts" e
+      | Error f, Ok _ ->
+          fail "generated accepts, the reference rejects at %d"
+            f.Reference.position)
     inputs
 
 let calc_tests =
   [
     test "hand-picked calculator inputs" (fun () ->
-        let eng = engine_for (Grammars.Calc.grammar ()) in
-        agree "calc" eng Generated_calc.parse
+        let g = Grammars.Calc.grammar () in
+        agree "calc" g Generated_calc.parse
           [
             "1+2*3"; "2**3**2"; "(1+2)*3"; "8/4/2"; " 1 + 2 "; "1+"; "";
             "((7))"; "3.25*4"; "1..2"; ")(";
           ]);
     test "random calculator corpus" (fun () ->
-        let eng = engine_for (Grammars.Calc.grammar ()) in
+        let g = Grammars.Calc.grammar () in
         let rng = Rng.create 1234 in
         let inputs =
           List.init 100 (fun _ -> Grammars.Corpus.arith rng ~size:15)
         in
-        agree "calc-corpus" eng Generated_calc.parse inputs);
+        agree "calc-corpus" g Generated_calc.parse inputs);
     test "parse_from picks other start productions" (fun () ->
         (* Spacing is inlined away by the optimizer; Sum survives. *)
         match Generated_calc.parse_from "Sum" "1+1" with
@@ -60,19 +72,19 @@ let calc_tests =
 let json_tests =
   [
     test "hand-picked JSON inputs" (fun () ->
-        let eng = engine_for (Grammars.Json.grammar ()) in
-        agree "json" eng Generated_json.parse
+        let g = Grammars.Json.grammar () in
+        agree "json" g Generated_json.parse
           [
             "{}"; "[]"; "null"; "true"; "-12.5e3"; {|{"a": [1, {"b": null}]}|};
             {|"esc\"aped"|}; "[1,]"; "{"; "01"; {| [true, false] |};
           ]);
     test "random JSON corpus" (fun () ->
-        let eng = engine_for (Grammars.Json.grammar ()) in
+        let g = Grammars.Json.grammar () in
         let rng = Rng.create 77 in
         let inputs =
           List.init 60 (fun _ -> Grammars.Corpus.json rng ~size:20)
         in
-        agree "json-corpus" eng Generated_json.parse inputs);
+        agree "json-corpus" g Generated_json.parse inputs);
   ]
 
 let minic_tests =
@@ -89,12 +101,12 @@ let minic_tests =
           (ok "typedef int t; void f(int a, int b) { a * b; }"));
     test "generated MiniC parser agrees with the engine on the corpus"
       (fun () ->
-        let eng = engine_for (Grammars.Minic.grammar ()) in
+        let g = Grammars.Minic.grammar () in
         let inputs =
           List.init 10 (fun seed ->
               Grammars.Corpus.minic (Rng.create (100 + seed)) ~functions:2)
         in
-        agree "minic-corpus" eng Generated_minic.parse inputs);
+        agree "minic-corpus" g Generated_minic.parse inputs);
     test "generated MiniC parser rejects extension syntax" (fun () ->
         Alcotest.(check bool) "until" true
           (Result.is_error
@@ -105,12 +117,12 @@ let java_tests =
   [
     test "generated MiniJava parser agrees with the engine on the corpus"
       (fun () ->
-        let eng = engine_for (Grammars.Minijava.grammar ()) in
+        let g = Grammars.Minijava.grammar () in
         let inputs =
           List.init 10 (fun seed ->
               Grammars.Corpus.minijava (Rng.create (200 + seed)) ~classes:2)
         in
-        agree "java-corpus" eng Generated_java.parse inputs);
+        agree "java-corpus" g Generated_java.parse inputs);
     test "generated MiniJava parser error positions are deep" (fun () ->
         match Generated_java.parse "class A { int f() { return 1 + ; } }" with
         | Error msg ->

@@ -442,8 +442,9 @@ let ladder_tests =
     Alcotest.(check bool) "retried" true r.Batch.r_retried;
     Alcotest.(check int) "exit" 4 (Batch.exit_code rep)
   in
-  (* deadlines under the synthetic clock: an exponential parse trips
-     fuel slices until the clock runs out — or finishes if it doesn't *)
+  (* deadlines under the synthetic clock: an exponential parse polls the
+     clock at every fuel slice until it runs out — or finishes if it
+     doesn't *)
   let deadline_expires () =
     List.iter
       (fun (tag, config) ->
@@ -461,15 +462,26 @@ let ladder_tests =
         Alcotest.(check int) (tag ^ ": exit") 4 (Batch.exit_code rep))
       configs
   in
+  (* a deadline that never expires costs the parse nothing: the slices
+     split one run's fuel count instead of rerunning it, so the record
+     is the deadline-free one, fuel included (only the wall time moves:
+     arming and polling read the synthetic clock) *)
   let deadline_roomy () =
-    let rep =
-      run_docs
-        ~limits:(Limits.v ~fuel:1_000_000 ())
-        ~deadline_ns:3_600_000_000_000 (chain_unmemo 18)
-        [ ("d", "a") ]
+    let record ?deadline_ns () =
+      let rep =
+        run_docs
+          ~limits:(Limits.v ~fuel:1_000_000 ())
+          ?deadline_ns (chain_unmemo 18)
+          [ ("d", "a") ]
+      in
+      { (List.hd rep.Batch.records) with Batch.r_ms = 0. }
     in
-    let r = List.hd rep.Batch.records in
-    Alcotest.(check bool) "slice doubling reaches the answer" true r.Batch.r_ok
+    let r = record ~deadline_ns:3_600_000_000_000 () in
+    let bare = record () in
+    Alcotest.(check bool) "the parse reaches the answer" true r.Batch.r_ok;
+    Alcotest.(check int) "fuel of the one run" bare.Batch.r_fuel_used
+      r.Batch.r_fuel_used;
+    Alcotest.(check bool) "record identical to the bare run's" true (r = bare)
   in
   (* clock skew: the deadline is armed unskewed, every later reading
      sees the step — the same parse that fits an hour now expires *)
@@ -496,7 +508,7 @@ let ladder_tests =
       fuel_cap_fault;
     Alcotest.test_case "deadline expiry under the synthetic clock" `Quick
       deadline_expires;
-    Alcotest.test_case "roomy deadline lets slice doubling finish" `Quick
+    Alcotest.test_case "roomy deadline leaves the record unchanged" `Quick
       deadline_roomy;
     Alcotest.test_case "clock skew expires an armed deadline" `Quick clock_skew;
   ]

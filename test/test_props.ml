@@ -281,11 +281,12 @@ let normalize_expected descs =
          else d)
        descs)
 
-let observe_full eng input =
-  match Engine.parse eng input with
+let full_of_result = function
   | Ok v -> FAccept v
   | Error e ->
       FReject (e.Parse_error.position, normalize_expected e.Parse_error.expected)
+
+let observe_full eng input = full_of_result (Engine.parse eng input)
 
 let full_equal a b =
   match (a, b) with
@@ -591,7 +592,18 @@ let governor_props =
                   (fun input ->
                     full_equal (observe_full free input)
                       (observe_full governed input)
-                    && Oracle.agrees ~config:cfg g input (Engine.run governed input))
+                    && Oracle.agrees ~config:cfg g input (Engine.run governed input)
+                    &&
+                    (* a deadline that never expires: the same parse,
+                       every Stats counter included *)
+                    let bare = Engine.run free input in
+                    let timed = Engine.run free ~expired:(fun () -> false) input in
+                    full_equal
+                      (full_of_result bare.Engine.result)
+                      (full_of_result timed.Engine.result)
+                    && Stats.fields bare.Engine.stats
+                       = Stats.fields timed.Engine.stats
+                    && Oracle.agrees ~config:cfg g input timed)
                   inputs
             | Error _, Error _ -> true
             | _ -> false)

@@ -517,6 +517,71 @@ let limits_tests =
               (Result.get_ok (Engine.parse free input))
               (Result.get_ok (Engine.parse gov input)))
           configs);
+    test "an expired deadline trips after exactly one fuel slice" (fun () ->
+        (* 40 KB of calc is well over one 65,536-invocation slice; an
+           always-true predicate stops the run at the first boundary,
+           and the trip is the last event the ring saw *)
+        let input = "1" ^ String.concat "" (List.init 20_000 (fun _ -> "+1")) in
+        let cfg =
+          Config.with_observe
+            {
+              Observe.off with
+              Observe.events = true;
+              ring_bytes = 16 * Observe.event_bytes;
+            }
+            Config.optimized
+        in
+        let eng = Engine.prepare_exn ~config:cfg (Lazy.force calc_gram) in
+        let o = Engine.run eng ~expired:(fun () -> true) input in
+        (match o.Engine.result with
+        | Error e ->
+            check Alcotest.(option string) "which" (Some "deadline")
+              (Option.map Limits.which_name (Parse_error.exhausted_which e))
+        | Ok _ -> Alcotest.fail "expected a deadline trip");
+        check Alcotest.int "fuel_used" 65_536 o.Engine.stats.Stats.fuel_used;
+        match Engine.observation eng with
+        | None -> Alcotest.fail "no observation sink"
+        | Some obs -> (
+            match List.rev (Observe.events obs) with
+            | last :: _ ->
+                check Alcotest.bool "last event is the trip" true
+                  (last.Observe.kind = Observe.Govern_trip);
+                let dump =
+                  Format.asprintf "%a" (Observe.pp_events ?input:None ~last:1) obs
+                in
+                let needle = "govern-trip deadline" in
+                let n = String.length needle in
+                let rec found i =
+                  i + n <= String.length dump
+                  && (String.sub dump i n = needle || found (i + 1))
+                in
+                check Alcotest.bool "names the deadline" true (found 0)
+            | [] -> Alcotest.fail "empty ring"));
+    test "a deadline that never expires changes nothing" (fun () ->
+        let input = "1" ^ String.concat "" (List.init 20_000 (fun _ -> "+1")) in
+        List.iter
+          (fun (label, cfg) ->
+            let eng = calc_eng cfg (Limits.v ~fuel:10_000_000 ()) in
+            let polls = ref 0 in
+            let bare = Engine.run eng input in
+            let timed =
+              Engine.run eng
+                ~expired:(fun () ->
+                  incr polls;
+                  false)
+                input
+            in
+            check Alcotest.bool (label ^ ": polled between slices") true
+              (!polls > 0);
+            check value_eq (label ^ ": same value")
+              (Result.get_ok bare.Engine.result)
+              (Result.get_ok timed.Engine.result);
+            check
+              Alcotest.(list (pair string int))
+              (label ^ ": same stats")
+              (Stats.fields bare.Engine.stats)
+              (Stats.fields timed.Engine.stats))
+          configs);
     test "memo budget degrades instead of failing (all memo modes)"
       (fun () ->
         let input = "abcdef" in

@@ -435,6 +435,26 @@ let fmt_cmd =
        ~doc:"Parse grammar modules and print them back formatted.")
     Term.(const run $ files_arg $ builtin_arg)
 
+(* The memo layout the default pipeline and [Config.optimized] give the
+   grammar: every run with a store memoizes the store slots; store-less
+   runs only those a backtrack point can revisit. *)
+let print_memo_layout g =
+  let names = function
+    | [] -> "none"
+    | ns -> Printf.sprintf "%d (%s)" (List.length ns) (String.concat " " ns)
+  in
+  match Rats.Pipeline.prepare_optimized g with
+  | Error _ -> ()
+  | Ok eng ->
+      Fmt.pr "store slots:      %s@." (names (Rats.Engine.store_slots eng));
+      let kept = Option.value (Rats.Engine.one_shot_slots eng) ~default:[] in
+      Fmt.pr "one-shot slots:   %s@."
+        (names (List.map (fun (r : Rats.Analysis.revisit) -> r.production) kept));
+      List.iter
+        (fun (r : Rats.Analysis.revisit) ->
+          Fmt.pr "  %s: revisited in %s, %s@." r.production r.site r.point)
+        kept
+
 let analyze_cmd =
   let run files builtin root start =
     guarded @@ fun () ->
@@ -464,6 +484,7 @@ let analyze_cmd =
         List.iter (fun d -> Fmt.pr "%s@." (Rats.Diagnostic.to_string d)) lints;
         if issues = [] then (
           Fmt.pr "well-formed:      yes@.";
+          print_memo_layout g;
           0)
         else (
           List.iter (fun d -> Fmt.pr "%s@." (Rats.Diagnostic.to_string d)) issues;
@@ -597,7 +618,8 @@ let parse_cmd =
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
             "Give up after roughly SECONDS of monotonic clock (exit 4); \
-             under --batch, the deadline of each document. Signal-free: \
+             under --batch, the deadline of each document, and under \
+             --edits of each reparse. Signal-free: \
              the engine polls the clock every 65536 invocations and stops \
              the parse at that boundary, so a parse that finishes in time \
              is unchanged. A --fuel budget that runs out first is \
@@ -668,7 +690,8 @@ let parse_cmd =
              escapes \\\\n \\\\t \\\\r \\\\\\\\ are decoded; omit TEXT to \
              delete). '#' lines are comments. The buffer is re-parsed \
              after every edit, reporting reused/relocated memo entries; \
-             the exit code reflects the final parse.")
+             the exit code reflects the final parse. A reparse that \
+             overruns --timeout ends the replay there.")
   in
   let profile_flag_arg =
     Arg.(
@@ -1020,6 +1043,28 @@ let parse_cmd =
                   Rats.Source.of_string ~name:path
                     (In_channel.with_open_bin path In_channel.input_all)
             in
+            (* Monotonic clock (Profile's CLOCK_MONOTONIC source):
+               wall-clock steps — NTP jumps, suspend/resume — can
+               neither hang a parse nor spuriously stop it. Armed afresh
+               for every parse. *)
+            let arm_deadline () =
+              Option.map
+                (fun seconds ->
+                  let deadline =
+                    Rats.Profile.now_ns () + int_of_float (seconds *. 1e9)
+                  in
+                  fun () -> Rats.Profile.now_ns () >= deadline)
+                timeout
+            in
+            let timed_out e =
+              Rats.Parse_error.exhausted_which e = Some Rats.Limits.Deadline
+            in
+            let report_timeout e =
+              match timeout with
+              | Some seconds when timed_out e ->
+                  Fmt.epr "rml: timeout of %gs exceeded@." seconds
+              | _ -> ()
+            in
             match edits with
             | Some script ->
                 (* Same buffer, session-conventional name. Zero-copy for
@@ -1039,8 +1084,14 @@ let parse_cmd =
                   | Error e ->
                       Fmt.pr "%s: %s@." label (Rats.Parse_error.message e)
                 in
-                let last = ref (Rats.Session.reparse session) in
+                let reparse () =
+                  Rats.Session.reparse ?expired:(arm_deadline ()) session
+                in
+                let last = ref (reparse ()) in
                 show "initial" !last;
+                let stopped () =
+                  match !last with Error e -> timed_out e | Ok _ -> false
+                in
                 let lines =
                   String.split_on_char '\n'
                     (In_channel.with_open_bin script In_channel.input_all)
@@ -1057,7 +1108,9 @@ let parse_cmd =
                       then String.sub raw 0 (String.length raw - 1)
                       else raw
                     in
-                    if !bad <> None || String.trim line = "" || line.[0] = '#'
+                    if
+                      !bad <> None || stopped () || String.trim line = ""
+                      || line.[0] = '#'
                     then ()
                     else
                       match parse_edit_line line with
@@ -1069,7 +1122,7 @@ let parse_cmd =
                               ~replacement
                           with
                           | () ->
-                              last := Rats.Session.reparse session;
+                              last := reparse ();
                               show (Printf.sprintf "edit %d" !n) !last
                           | exception Invalid_argument _ -> bad := Some line))
                   lines;
@@ -1091,6 +1144,7 @@ let parse_cmd =
                           Fmt.pr "%s@." (Rats.Value.to_string v);
                         0
                     | Error e ->
+                        report_timeout e;
                         (* the session's source: line starts patched
                            across the edit script, not rebuilt *)
                         let source = Rats.Session.source session in
@@ -1100,20 +1154,9 @@ let parse_cmd =
                           exit_resource
                         else exit_parse))
             | None -> (
-                (* Monotonic clock (Profile's CLOCK_MONOTONIC source):
-                   wall-clock steps — NTP jumps, suspend/resume — can
-                   neither hang the parse nor spuriously stop it. *)
-                let expired =
-                  Option.map
-                    (fun seconds ->
-                      let deadline =
-                        Rats.Profile.now_ns () + int_of_float (seconds *. 1e9)
-                      in
-                      fun () -> Rats.Profile.now_ns () >= deadline)
-                    timeout
-                in
                 let out =
-                  Rats.Engine.run_input eng ?expired (Rats.Source.input source)
+                  Rats.Engine.run_input eng ?expired:(arm_deadline ())
+                    (Rats.Source.input source)
                 in
                 (if stats then
                    Fmt.pr "stats: %a@." Rats.Stats.pp out.Rats.Engine.stats);
@@ -1125,10 +1168,7 @@ let parse_cmd =
                     if not quiet then Fmt.pr "%s@." (Rats.Value.to_string v);
                     0
                 | Error e ->
-                    (match (timeout, Rats.Parse_error.exhausted_which e) with
-                    | Some seconds, Some Rats.Limits.Deadline ->
-                        Fmt.epr "rml: timeout of %gs exceeded@." seconds
-                    | _ -> ());
+                    report_timeout e;
                     Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e);
                     dump_ring eng (Rats.Source.text source);
                     if Rats.Parse_error.exhausted_which e <> None then

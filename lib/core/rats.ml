@@ -136,7 +136,7 @@ module Session = struct
      error reports (farthest position, expected set) are identical to a
      from-scratch parse by construction — memo hits in the incremental
      pass hide part of the expected-set trace. *)
-  let reparse t =
+  let reparse ?expired t =
     (* An observed engine sees the session machinery too: the ring
        shows what the store contributed before the run's own events. *)
     (match Engine.observation t.eng with
@@ -144,18 +144,21 @@ module Session = struct
         Observe.session_reuse o ~reused:t.survivors ~relocated:t.relocated
     | _ -> ());
     let o =
-      Engine.run_store_input t.eng t.store ?start:t.start
+      Engine.run_store_input t.eng t.store ?start:t.start ?expired
         (Source.input t.source)
     in
     let reused = t.survivors and relocated = t.relocated in
     t.relocated <- 0;
     t.survivors <- 0;
+    (* A passed deadline stays passed: a cold run could only trip it
+       again, one fuel slice later. *)
     let o =
       match o.Engine.result with
       | Ok _ -> o
+      | Error e when Parse_error.exhausted_which e = Some Limits.Deadline -> o
       | Error _ ->
           t.cold_fallbacks <- t.cold_fallbacks + 1;
-          Engine.run_input t.eng ?start:t.start (Source.input t.source)
+          Engine.run_input t.eng ?start:t.start ?expired (Source.input t.source)
     in
     Stats.reset t.stats;
     Stats.add t.stats o.Engine.stats;

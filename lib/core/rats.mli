@@ -163,12 +163,16 @@ module Session : sig
       [start < 0], [old_len < 0] or [start + old_len] exceeds the
       buffer length. *)
 
-  val reparse : t -> (Value.t, Parse_error.t) result
+  val reparse :
+    ?expired:(unit -> bool) -> t -> (Value.t, Parse_error.t) result
   (** Parse the current buffer, reusing surviving memo entries and
       refilling the store for the next round. Never raises (same
       backstop as {!parse}). On failure the error is computed by an
       internal cold re-parse, so reports match a from-scratch parse
-      byte for byte. When the engine is observed ({!Engine.observation}),
+      byte for byte. [expired] is the reparse's deadline (see
+      {!Engine.run}); the cold re-parse honours it too, and a reparse
+      whose deadline passed reports {!Limits.Deadline} without one.
+      When the engine is observed ({!Engine.observation}),
       a reparse that inherited store entries pushes a [memo-reuse] event
       into the trace ring before its parse events. *)
 

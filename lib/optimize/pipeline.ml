@@ -30,7 +30,9 @@ let registry ?inline_threshold () =
     step "baseline" "desugared repetitions, hashtable memo of every production";
     step "+chunks" "memoize into per-position chunks instead of a hashtable"
       ~config:(fun c -> { c with Config.memo = Config.Chunked });
-    step "+transients" "single-reference productions lose their memo slots"
+    step "+transients"
+      "single-reference productions lose their memo slots; store-less runs \
+       also skip the slots the revisit analysis finds no second visit for"
       ~passes:[ Pass.transients ]
       ~config:(fun c -> { c with Config.honor_transient = true });
     step "+terminals" "lexical-level productions lose their memo slots"

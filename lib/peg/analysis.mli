@@ -85,6 +85,25 @@ val stateful : t -> string -> bool
     are unsafe to memoize without keying on state, so the engine skips
     their memo slots — mirroring Rats!'s [stateful] attribute. *)
 
+(** {1 Revisits} *)
+
+type revisit = {
+  production : string;  (** the memoized production that can be revisited *)
+  site : string;  (** the production holding the backtrack point *)
+  point : string;  (** which branches of it, e.g. ["alternatives <Pow> / <Paren>"] *)
+}
+
+val revisitable : t -> memoized:StringSet.t -> revisit list
+(** The productions of [memoized] (the slot layout) that one run can
+    invoke twice at the same offset, each with a backtrack point that can
+    do it, in grammar order. A memoized production left out is never
+    revisited while the returned ones keep their slots, so a run may skip
+    its memo entries without changing a single invocation, hit or
+    failure record. Calls are traced through every production except
+    where a branch's lead call is certain to hit the entry an earlier
+    branch stored; the kept set is grown until it is closed under that
+    shielding. *)
+
 (** {1 Well-formedness} *)
 
 val left_recursion : t -> string list option

@@ -17,7 +17,11 @@ type t = {
   memo : memo_strategy;
   honor_transient : bool;
       (** when set, productions whose attributes say [Memo_never] get no
-          memo slot at all — Rats!'s {e transient productions} *)
+          memo slot at all — Rats!'s {e transient productions} — and
+          store-less runs ([Engine.run]) also skip the slots of
+          productions the revisit analysis ([Analysis.revisitable])
+          shows no run can invoke twice at one offset. Runs with a store
+          ([Engine.run_store], sessions) keep every slot. *)
   dispatch : bool;
       (** filter choice alternatives by the next input byte against
           precomputed FIRST sets — Rats!'s choice specialization *)

@@ -35,6 +35,9 @@ type st = {
   mutable memo_bytes : int;  (* approximate memo storage charged so far *)
   mutable tripped : (Limits.which * int) option;
   mutable quiet : int;  (* predicate-body nesting; suppresses recording *)
+  skip : Bytes.t;
+  (* per production, nonzero when this run skips its memo slot: the
+     one-shot layout in store-less runs, nothing in store runs *)
 }
 
 (* Raised when a budget runs out; [st.tripped] carries which and where.
@@ -76,6 +79,11 @@ type scratch = {
    The slot is atomic: runs of one engine on several domains must never
    take the same scratch. *)
 
+(* The one-shot memo layout: the slotted productions a store-less run
+   keeps, each with a backtrack point that can revisit it, and the skip
+   table of the others. *)
+type layout = { revisits : Analysis.revisit list; skip_table : Bytes.t }
+
 type t = {
   cfg : Config.t;
   gram : Grammar.t;
@@ -83,6 +91,10 @@ type t = {
   full : fn array;  (* per-production value-building matchers *)
   recs : fn array;  (* per-production recognizers *)
   slots : int array;  (* memo slot per production; -1 = not memoized *)
+  one_shot : (unit -> layout) option;
+  (* the revisit analysis, when [Config.honor_transient] asks for it *)
+  layout : layout option Atomic.t;  (* its result, once a run needed it *)
+  keep_all : Bytes.t;  (* the skip table of store runs: all zero *)
   nslots : int;
   nvslots : int;  (* memo slots that carry a value *)
   vmap : int array;  (* memo slot -> arena value slot; -1 = value-free *)
@@ -751,6 +763,40 @@ let prepare ?(config = Config.optimized) gram =
             incr nvslots))
         prods;
       let nvslots = !nvslots in
+      (* One-shot layout: a slotted production no backtrack point can
+         revisit skips its memo slot in store-less runs, where its
+         entries could never be hit. Stores keep every slot — a later
+         run over an edited buffer reuses entries across runs. The
+         analysis runs when the first store-less run needs it, so
+         engines that only serve sessions never pay for it. *)
+      let one_shot =
+        if config.Config.honor_transient && nslots > 0 then
+          Some
+            (fun () ->
+              let memoized =
+                Array.fold_left
+                  (fun acc (p : Production.t) ->
+                    if slots.(Hashtbl.find ids p.name) >= 0 then
+                      Analysis.StringSet.add p.name acc
+                    else acc)
+                  Analysis.StringSet.empty prods
+              in
+              let revisits = Analysis.revisitable analysis ~memoized in
+              let skip_table = Bytes.make nprods '\000' in
+              Array.iteri
+                (fun i (p : Production.t) ->
+                  if
+                    slots.(i) >= 0
+                    && not
+                         (List.exists
+                            (fun (r : Analysis.revisit) ->
+                              String.equal r.Analysis.production p.name)
+                            revisits)
+                  then Bytes.set skip_table i '\001')
+                prods;
+              { revisits; skip_table })
+        else None
+      in
       let dummy : fn = fun _ _ -> -1 in
       let obs =
         if Observe.enabled config.Config.observe then
@@ -765,6 +811,9 @@ let prepare ?(config = Config.optimized) gram =
           full = Array.make nprods dummy;
           recs = Array.make nprods dummy;
           slots;
+          one_shot;
+          layout = Atomic.make None;
+          keep_all = Bytes.make nprods '\000';
           nslots;
           nvslots;
           vmap;
@@ -810,20 +859,29 @@ let prepare ?(config = Config.optimized) gram =
                 never hide a state change: any run that mutated the tables
                 bumped the version past its own entry stamp. *)
              let stateful = Analysis.stateful analysis p.name in
+             let plain_full st pos =
+               st.stats.Stats.invocations <- st.stats.Stats.invocations + 1;
+               charge st pos;
+               enter st pos;
+               let p' = body_full st pos in
+               st.depth <- st.depth - 1;
+               if p' >= 0 then shape_fn st pos p';
+               p'
+             in
+             let plain_rec st pos =
+               st.stats.Stats.invocations <- st.stats.Stats.invocations + 1;
+               charge st pos;
+               enter st pos;
+               let p' = body_rec st pos in
+               st.depth <- st.depth - 1;
+               p'
+             in
              let full_fn =
                match (config.Config.memo, slot) with
-               | Config.No_memo, _ | _, -1 ->
-                   fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     enter st pos;
-                     let p' = body_full st pos in
-                     st.depth <- st.depth - 1;
-                     if p' >= 0 then shape_fn st pos p';
-                     p'
+               | Config.No_memo, _ | _, -1 -> plain_full
                | Config.Hashtable, slot ->
                    fun st pos ->
+                     if Bytes.unsafe_get st.skip i <> '\000' then plain_full st pos else (
                      st.stats.Stats.invocations <-
                        st.stats.Stats.invocations + 1;
                      charge st pos;
@@ -866,10 +924,11 @@ let prepare ?(config = Config.optimized) gram =
                            st.stats.Stats.memo_stores <-
                              st.stats.Stats.memo_stores + 1);
                          look st saved_ext;
-                         p')
+                         p'))
                | Config.Chunked, slot ->
                    let vslot = vmap.(slot) in
                    fun st pos ->
+                     if Bytes.unsafe_get st.skip i <> '\000' then plain_full st pos else (
                      st.stats.Stats.invocations <-
                        st.stats.Stats.invocations + 1;
                      charge st pos;
@@ -945,21 +1004,14 @@ let prepare ?(config = Config.optimized) gram =
                        if p' >= 0 then shape_fn st pos p';
                        st.stats.Stats.memo_degraded <-
                          st.stats.Stats.memo_degraded + 1;
-                       p')
+                       p'))
              in
              let rec_fn =
                match (config.Config.memo, slot) with
-               | Config.No_memo, _ | _, -1 ->
-                   fun st pos ->
-                     st.stats.Stats.invocations <-
-                       st.stats.Stats.invocations + 1;
-                     charge st pos;
-                     enter st pos;
-                     let p' = body_rec st pos in
-                     st.depth <- st.depth - 1;
-                     p'
+               | Config.No_memo, _ | _, -1 -> plain_rec
                | Config.Hashtable, slot ->
                    fun st pos ->
+                     if Bytes.unsafe_get st.skip i <> '\000' then plain_rec st pos else (
                      st.stats.Stats.invocations <-
                        st.stats.Stats.invocations + 1;
                      charge st pos;
@@ -975,7 +1027,7 @@ let prepare ?(config = Config.optimized) gram =
                          enter st pos;
                          let p' = body_rec st pos in
                          st.depth <- st.depth - 1;
-                         p')
+                         p'))
                | Config.Chunked, slot when vmap.(slot) < 0 ->
                    (* A value-free slot stores nothing but the result,
                       so an entry written by a recognizer run is
@@ -983,6 +1035,7 @@ let prepare ?(config = Config.optimized) gram =
                       calls to these productions get the whole memo
                       protocol, allocation and stores included. *)
                    fun st pos ->
+                     if Bytes.unsafe_get st.skip i <> '\000' then plain_rec st pos else (
                      st.stats.Stats.invocations <-
                        st.stats.Stats.invocations + 1;
                      charge st pos;
@@ -1043,9 +1096,10 @@ let prepare ?(config = Config.optimized) gram =
                        st.depth <- st.depth - 1;
                        st.stats.Stats.memo_degraded <-
                          st.stats.Stats.memo_degraded + 1;
-                       p')
+                       p'))
                | Config.Chunked, slot ->
                    fun st pos ->
+                     if Bytes.unsafe_get st.skip i <> '\000' then plain_rec st pos else (
                      st.stats.Stats.invocations <-
                        st.stats.Stats.invocations + 1;
                      charge st pos;
@@ -1067,7 +1121,7 @@ let prepare ?(config = Config.optimized) gram =
                        enter st pos;
                        let p' = body_rec st pos in
                        st.depth <- st.depth - 1;
-                       p')
+                       p'))
              in
              (* Observation wrapper, around both the value-building and
                 the recognizer entry. A call was a memo hit exactly when
@@ -1112,6 +1166,26 @@ let config t = t.cfg
 let grammar t = t.gram
 let memo_slots t = t.nslots
 let memo_value_slots t = t.nvslots
+
+let store_slots t =
+  List.filter
+    (fun n -> t.slots.(Hashtbl.find t.ids n) >= 0)
+    (Grammar.names t.gram)
+
+(* Computed once per engine, by the first run that needs it; runs
+   racing on other domains may compute it too, and get the same. *)
+let one_shot_layout t =
+  match t.one_shot with
+  | None -> None
+  | Some analyze -> (
+      match Atomic.get t.layout with
+      | Some l -> Some l
+      | None ->
+          let l = analyze () in
+          Atomic.set t.layout (Some l);
+          Some l)
+
+let one_shot_slots t = Option.map (fun l -> l.revisits) (one_shot_layout t)
 
 let arena_cap t =
   match Atomic.get t.pool with
@@ -1301,6 +1375,13 @@ let run_with t ?store ?expired ?start ~require_eof input =
         memo_bytes = (match store with Some s -> s.c_bytes | None -> 0);
         tripped = None;
         quiet = 0;
+        skip =
+          (match store with
+          | Some _ -> t.keep_all
+          | None -> (
+              match one_shot_layout t with
+              | Some l -> l.skip_table
+              | None -> t.keep_all));
       }
     in
     (scratch, st)
@@ -1377,8 +1458,8 @@ let new_store t =
     c_version = 0;
   }
 
-let run_store_input t store ?start ?(require_eof = true) input =
-  run_with t ~store ?start ~require_eof input
+let run_store_input t store ?start ?(require_eof = true) ?expired input =
+  run_with t ~store ?expired ?start ~require_eof input
 
-let run_store t store ?start ?require_eof input =
-  run_store_input t store ?start ?require_eof (Input.of_string input)
+let run_store t store ?start ?require_eof ?expired input =
+  run_store_input t store ?start ?require_eof ?expired (Input.of_string input)

@@ -37,6 +37,21 @@ val memo_value_slots : t -> int
     vmap); enters {!Limits.chunk_cost}, so a value-free engine charges
     its memo budget less per position. *)
 
+val store_slots : t -> string list
+(** The productions with a memo slot, in grammar order: the layout of
+    every run given a store ({!run_store}, [Rats.Session]). *)
+
+val one_shot_slots : t -> Rats_peg.Analysis.revisit list option
+(** The slotted productions that keep their slot in store-less runs
+    ({!run}, {!run_input}), each with a backtrack point that can revisit
+    it — {!Rats_peg.Analysis.revisitable} over {!store_slots}. The other
+    slotted productions run un-memoized there: no run could hit their
+    entries. [None] when the analysis is off (without
+    [Config.honor_transient], or without slots), in which case every
+    slot is kept. The
+    analysis runs once per engine, on the first store-less run or the
+    first call of this function. *)
+
 val arena_cap : t -> int
 (** Chunks with backing rows in this engine's pooled memo arena — the
     allocated high-water footprint, which survives between runs because
@@ -128,15 +143,32 @@ val edit_store : t -> store -> start:int -> old_len:int -> new_len:int -> int * 
     position actually moved, so same-length replacements relocate
     nothing. Raises [Invalid_argument] if the edit is out of bounds. *)
 
-val run_store : t -> store -> ?start:string -> ?require_eof:bool -> string -> outcome
+val run_store :
+  t ->
+  store ->
+  ?start:string ->
+  ?require_eof:bool ->
+  ?expired:(unit -> bool) ->
+  string ->
+  outcome
 (** Parse reading and refilling the store, in one untraced pass. On
     success the result is identical to a cold {!run} (values compare
     equal via [Value.equal]; spans inside reused subtrees are {e not}
     shifted — see DESIGN.md). On failure the expected set may be
     incomplete because memo hits hide part of the trace;
     [Rats.Session.reparse] re-parses cold in that case for exact error
-    parity. *)
+    parity. [expired] is a deadline, polled between fuel slices exactly
+    as for {!run}. A store run memoizes every slot of {!store_slots},
+    whatever {!one_shot_slots} says: entries a later run over an edited
+    buffer reuses are worth keeping even where this run never hits
+    them. *)
 
 val run_store_input :
-  t -> store -> ?start:string -> ?require_eof:bool -> Input.t -> outcome
+  t ->
+  store ->
+  ?start:string ->
+  ?require_eof:bool ->
+  ?expired:(unit -> bool) ->
+  Input.t ->
+  outcome
 (** {!run_store} over an {!Input.t} buffer. *)

@@ -46,6 +46,21 @@ let tests =
         let code, out = run (Printf.sprintf "analyze %s -r tutorial.Ini" tutorial) in
         check Alcotest.int "exit" 0 code;
         check Alcotest.bool "well-formed" true (contains out "well-formed:      yes"));
+    test "analyze prints the store and one-shot memo layouts" (fun () ->
+        let code, calc = run "analyze -b calc" in
+        let code', json = run "analyze -b json" in
+        check Alcotest.int "calc exit" 0 code;
+        check Alcotest.int "json exit" 0 code';
+        check Alcotest.bool "calc store slots" true
+          (contains calc "store slots:      3 (Sum Term Factor)");
+        check Alcotest.bool "calc keeps Sum only" true
+          (contains calc "one-shot slots:   1 (Sum)\n");
+        check Alcotest.bool "calc witness" true
+          (contains calc "Sum: revisited in Factor, alternatives <Pow> / <Paren>");
+        check Alcotest.bool "json store slots" true
+          (contains json "store slots:      2 (JValue Member)");
+        check Alcotest.bool "json keeps nothing" true
+          (contains json "one-shot slots:   none"));
     test "parse an input file" (fun () ->
         let ini = write_temp "[a]\nx = 1\n" in
         let code, out =
@@ -144,6 +159,28 @@ let tests =
         check Alcotest.int "tiny timeout" 4 code;
         check Alcotest.bool "message" true (contains out "timeout");
         check Alcotest.int "roomy timeout" 0 code');
+    test "--edits honours --timeout per reparse" (fun () ->
+        (* 40 KB of calc outruns the first 65,536-invocation slice, so a
+           tiny deadline trips the initial reparse; the replay stops
+           there with the one-shot trip's message and exit code. *)
+        let expr = write_temp ("1" ^ String.concat "" (List.init 20_000 (fun _ -> "+1"))) in
+        let script = write_temp "0 1 2\n5 0 +3\n" in
+        let edits extra =
+          run
+            (Printf.sprintf "parse -b calc -i %s --edits %s -q --stats%s" expr
+               script extra)
+        in
+        let code, out = edits " --timeout 0.000001" in
+        let bare_code, bare = edits "" in
+        let roomy_code, roomy = edits " --timeout 60" in
+        Sys.remove expr;
+        Sys.remove script;
+        check Alcotest.int "tiny timeout" 4 code;
+        check Alcotest.bool "message" true (contains out "rml: timeout of");
+        check Alcotest.bool "replay stopped" false (contains out "edit 1");
+        check Alcotest.int "bare" 0 bare_code;
+        check Alcotest.int "roomy" 0 roomy_code;
+        check Alcotest.string "roomy timeout changes nothing" bare roomy);
     test "--fuel with --timeout honors the smaller budget" (fun () ->
         (* A small explicit fuel budget must trip — and be reported as a
            fuel trip, exit 4 — even under a generous timeout: the

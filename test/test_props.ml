@@ -899,6 +899,106 @@ let observe_props =
           [ Config.optimized; Config.packrat ]);
   ]
 
+(* --- revisit analysis ------------------------------------------------------------------ *)
+
+(* The one-shot layout drops only memo slots no run could hit: a
+   store-less run and a run on a fresh store (which keeps every slot)
+   perform exactly the same invocations, hits, backtracks and fuel, and
+   report the same results — the one-shot run just stores no more. *)
+(* Revisit-prone grammars: the same subexpression, references included,
+   on two branches of one backtrack point — shared alternative prefixes,
+   a failed alternative that reads past the winner, [x? x], and a
+   repetition the continuation repeats. The plain generator's grammars
+   hit a memo entry in well under 1% of runs; these do far more often,
+   which is what gives a wrong demotion a chance to show. *)
+let rec gen_revisiting ~refs ~depth st : Expr.t =
+  if depth <= 0 then gen_leaf ~refs st
+  else
+    let sub () = gen_revisiting ~refs ~depth:(depth - 1) st in
+    let shared () =
+      let p = gen_expr ~refs ~depth:(depth - 1) st in
+      match refs with
+      | [] -> p
+      | _ ->
+          Expr.seq
+            [ p; Expr.ref_ (List.nth refs (Gen.int_bound (List.length refs - 1) st)) ]
+    in
+    match Gen.int_bound 6 st with
+    | 0 ->
+        let p = shared () in
+        Expr.alt [ Expr.seq [ p; sub () ]; Expr.seq [ p; sub () ] ]
+    | 1 ->
+        let p = shared () and q = shared () in
+        Expr.seq
+          [ Expr.alt [ Expr.seq [ p; q; sub () ]; p ]; q; sub () ]
+    | 2 ->
+        let x = gen_consuming ~refs ~depth:(depth - 1) st in
+        Expr.seq [ Expr.opt x; x; sub () ]
+    | 3 ->
+        let x = gen_consuming ~refs ~depth:(depth - 1) st in
+        Expr.seq [ Expr.star x; Expr.alt [ x; sub () ] ]
+    | 4 -> Expr.seq [ sub (); sub () ]
+    | 5 -> Expr.alt [ sub (); sub () ]
+    | _ -> gen_expr ~refs ~depth st
+
+let gen_revisit_case st =
+  let gen_grammar st =
+    let n = 2 + Gen.int_bound 2 st in
+    let name i = Printf.sprintf "P%d" i in
+    Grammar.make_exn ~start:"P0"
+      (List.init n (fun i ->
+           let refs = List.init (n - i - 1) (fun j -> name (i + j + 1)) in
+           Production.v
+             ~attrs:(Attr.v ~kind:Attr.Generic ~visibility:Attr.Private ())
+             (name i)
+             (gen_revisiting ~refs ~depth:3 st)))
+  in
+  let rec retry k =
+    let g = gen_grammar st in
+    if Analysis.check (Analysis.analyze g) = [] then g
+    else if k > 50 then Grammar.make_exn [ Production.v "P0" (Expr.chr 'a') ]
+    else retry (k + 1)
+  in
+  let g = retry 0 in
+  (g, List.init 8 (fun _ -> gen_input g st))
+
+let arb_revisit_case = QCheck.make ~print:print_case gen_revisit_case
+
+let revisit_props =
+  let governed cfg =
+    Config.with_limits
+      (Limits.v ~fuel:1_000_000 ~max_depth:10_000 ~max_memo_bytes:(1 lsl 40) ())
+      cfg
+  in
+  List.map
+    (fun (tag, cfg) ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "one-shot = fresh store, fewer stores (%s)" tag)
+        ~count:1000 arb_revisit_case
+        (fun (g, inputs) ->
+          match prepare_with cfg g with
+          | Error _ -> true
+          | Ok eng ->
+              List.for_all
+                (fun text ->
+                  let a = Engine.run eng text in
+                  let b = Engine.run_store eng (Engine.new_store eng) text in
+                  let sa = a.Engine.stats and sb = b.Engine.stats in
+                  full_equal (full_of_result a.Engine.result)
+                    (full_of_result b.Engine.result)
+                  && a.Engine.consumed = b.Engine.consumed
+                  && sa.Stats.invocations = sb.Stats.invocations
+                  && sa.Stats.memo_hits = sb.Stats.memo_hits
+                  && sa.Stats.fuel_used = sb.Stats.fuel_used
+                  && sa.Stats.backtracks = sb.Stats.backtracks
+                  && sa.Stats.memo_stores <= sb.Stats.memo_stores)
+                inputs))
+    [
+      ("optimized", Config.optimized);
+      ("governed", governed Config.optimized);
+      ("dispatch off", { Config.optimized with Config.dispatch = false });
+    ]
+
 let () =
   let to_alco = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "props"
@@ -916,4 +1016,5 @@ let () =
       ("recognizer-equivalence", to_alco recognizer_props);
       ("observability", to_alco observe_props);
       ("charset", to_alco charset_props);
+      ("revisit-analysis", to_alco revisit_props);
     ]

@@ -655,6 +655,9 @@ let limits_tests =
                 st.Stats.fuel_used )
             in
             let a = snapshot () and b = snapshot () in
+            (* the budget must bind, or a leak could not show *)
+            let _, _, _, _, _, degraded, _ = a in
+            check Alcotest.bool (label ^ ": budget binds") true (degraded > 0);
             if a <> b then Alcotest.failf "%s: second parse drifted" label)
           [
             ("optimized", Config.optimized);
@@ -956,6 +959,130 @@ let reference_answer_tests =
         check Alcotest.int "eof failure position" 2 f.Reference.position);
   ]
 
+(* --- revisit analysis: one-shot memo layout ------------------------------------- *)
+
+let kept_names eng =
+  match Engine.one_shot_slots eng with
+  | None -> Alcotest.fail "revisit analysis did not run"
+  | Some rs -> List.map (fun (r : Analysis.revisit) -> r.Analysis.production) rs
+
+(* A store-less run skips only memo entries no run could hit: against a
+   run on a fresh store (every slot kept) it does exactly the same work. *)
+let check_same_work label eng input =
+  let a = Engine.run eng input in
+  let b = Engine.run_store eng (Engine.new_store eng) input in
+  let sa = a.Engine.stats and sb = b.Engine.stats in
+  check Alcotest.int (label ^ ": invocations") sb.Stats.invocations
+    sa.Stats.invocations;
+  check Alcotest.int (label ^ ": memo hits") sb.Stats.memo_hits
+    sa.Stats.memo_hits;
+  check Alcotest.int (label ^ ": backtracks") sb.Stats.backtracks
+    sa.Stats.backtracks;
+  check Alcotest.int (label ^ ": consumed") b.Engine.consumed a.Engine.consumed;
+  check Alcotest.bool (label ^ ": fewer stores") true
+    (sa.Stats.memo_stores <= sb.Stats.memo_stores)
+
+let revisit_tests =
+  let open Builder in
+  let eng g = Engine.prepare_exn ~config:Config.optimized g in
+  [
+    test "calc: shared '(' prefix keeps Sum, nothing else" (fun () ->
+        let e = calc_eng Config.optimized Limits.unlimited in
+        check Alcotest.(list string) "store" [ "Sum"; "Term"; "Factor" ]
+          (Engine.store_slots e);
+        check Alcotest.(list string) "one-shot" [ "Sum" ] (kept_names e);
+        (match Engine.one_shot_slots e with
+        | Some [ r ] ->
+            check Alcotest.string "site" "Factor" r.Analysis.site;
+            check Alcotest.string "point" "alternatives <Pow> / <Paren>"
+              r.Analysis.point
+        | _ -> Alcotest.fail "one witness expected");
+        List.iter
+          (fun input -> check_same_work input e input)
+          [ "((1+2)*3)**2"; "1+2*3-4/5"; "(((7)))"; "2**(3+"; "(1)**(2)**3" ]);
+    test "json: no backtrack point revisits, nothing kept" (fun () ->
+        let e = eng (Pipeline.optimize (Grammars.Json.grammar ())) in
+        check Alcotest.(list string) "one-shot" [] (kept_names e);
+        check_same_work "json" e
+          {|{"a": [1, 2.5e3, true, null], "b": {"c": "d\"e"}}|});
+    test "nullable sequence A? A keeps A" (fun () ->
+        let e =
+          eng
+            (grammar ~start:"S"
+               [ prod "S" (opt (e "A") @: e "A" @: c 'c'); prod "A" (c 'a' @: c 'b') ])
+        in
+        check Alcotest.(list string) "one-shot" [ "A" ] (kept_names e);
+        check_same_work "ac" e "abc";
+        check_same_work "a" e "ax");
+    test "a demoted caller no longer shields its callee" (fun () ->
+        (* Q is memoized but never revisited, so its slot goes — and with
+           it any claim that Q's memo spares P a second run: the second
+           alternative runs P again through Q's body. *)
+        let e =
+          eng
+            (grammar ~start:"S"
+               [
+                 prod "S" (e "P" @: c 'x' <|> e "Q");
+                 prod "Q" (e "P" @: c 'y');
+                 prod "P" (c 'a');
+               ])
+        in
+        check Alcotest.(list string) "one-shot" [ "P" ] (kept_names e);
+        check_same_work "ay" e "ay");
+    test "a lead call after different matchers is no certain hit" (fun () ->
+        (* Both alternatives lead to Q, but after 'a' and after "ab":
+           the second calls Q one byte later, runs its body afresh and
+           reaches P at the offset the first alternative already did. *)
+        let e =
+          eng
+            (grammar ~start:"S"
+               [
+                 prod "S" (c 'a' @: e "Q" @: c 'x' <|> c 'a' @: c 'b' @: e "Q");
+                 prod "Q" (star (one_of "ab") @: e "P");
+                 prod "P" (c 'c');
+               ])
+        in
+        check Alcotest.bool "P kept" true (List.mem "P" (kept_names e));
+        check_same_work "abc" e "abc");
+    test "a failed alternative that looked past the winner's end" (fun () ->
+        (* (T U 'c' / T) U on "ab": the first alternative runs U at 1,
+           fails at 'c'; T wins at 1 and U runs at 1 again. *)
+        let e =
+          eng
+            (grammar ~start:"S"
+               [
+                 prod "S" ((e "T" @: e "U" @: c 'c' <|> e "T") @: e "U");
+                 prod "U" (c 'b');
+                 prod "T" (c 'a');
+               ])
+        in
+        check Alcotest.(list string) "one-shot" [ "U"; "T" ] (kept_names e);
+        check_same_work "ab" e "ab");
+    test "builtin corpora: one-shot does a fresh store's work" (fun () ->
+        let rng () = Rng.create 11 in
+        List.iter
+          (fun (label, g, input) ->
+            check_same_work label (eng (Pipeline.optimize g)) input)
+          [
+            ("calc", Grammars.Calc.grammar (), Grammars.Corpus.arith (rng ()) ~size:400);
+            ("json", Grammars.Json.grammar (), Grammars.Corpus.json (rng ()) ~size:400);
+            ("minic", Grammars.Minic.grammar (), Grammars.Corpus.minic (rng ()) ~functions:4);
+            ( "minijava",
+              Grammars.Minijava.grammar (),
+              Grammars.Corpus.minijava (rng ()) ~classes:2 );
+            ("calc, failing", Grammars.Calc.grammar (), "((3)**2)*(4");
+          ]);
+    test "E4's pathological grammar stays linear one-shot" (fun () ->
+        let g = Grammars.Path.grammar () in
+        let e = eng g in
+        let invs depth =
+          (Engine.run e (Grammars.Corpus.pathological ~depth)).Engine.stats
+            .Stats.invocations
+        in
+        check_same_work "depth 20" e (Grammars.Corpus.pathological ~depth:20);
+        check Alcotest.bool "linear" true (invs 40 < 3 * invs 20));
+  ]
+
 let () =
   Alcotest.run "runtime"
     [
@@ -969,4 +1096,5 @@ let () =
       ("expected", expected_tests);
       ("reference", reference_tests);
       ("reference-answers", reference_answer_tests);
+      ("revisit", revisit_tests);
     ]

@@ -343,6 +343,43 @@ let unit_tests =
             Session.apply_edit s ~start:0 ~old_len:4 ~replacement:"");
         bad (fun () ->
             Session.apply_edit s ~start:4 ~old_len:0 ~replacement:""));
+    Alcotest.test_case "reparse honours a deadline, fallback included" `Quick
+      (fun () ->
+        (* 40 KB of calc spans several 65,536-invocation fuel slices, so
+           a deadline is polled; a store run keeps every memo slot. *)
+        let text = "1" ^ String.concat "" (List.init 20_000 (fun _ -> "+1")) in
+        let eng = calc () in
+        let bare = Session.create eng text and timed = Session.create eng text in
+        let never () = false in
+        let a = Session.reparse bare and b = Session.reparse ~expired:never timed in
+        Alcotest.(check bool) "same verdict" (Result.is_ok a) (Result.is_ok b);
+        Alcotest.(check (list (pair string int)))
+          "same counters" (Stats.fields (Session.stats bare))
+          (Stats.fields (Session.stats timed));
+        let cold = Session.create eng text in
+        let polls = ref 0 in
+        let expired () =
+          incr polls;
+          true
+        in
+        (match Session.reparse ~expired cold with
+        | Ok _ -> Alcotest.fail "a passed deadline must trip"
+        | Error e ->
+            Alcotest.(check (option string))
+              "deadline" (Some "deadline")
+              (Option.map Limits.which_name (Parse_error.exhausted_which e)));
+        Alcotest.(check bool) "polled" true (!polls > 0);
+        Alcotest.(check int) "no cold re-parse past the deadline" 0
+          (Session.cold_fallbacks cold);
+        (* a syntax error still re-parses cold, under the same deadline *)
+        Session.apply_edit timed ~start:0 ~old_len:1 ~replacement:"+";
+        match Session.reparse ~expired:never timed with
+        | Ok _ -> Alcotest.fail "leading '+' must not parse"
+        | Error e ->
+            Alcotest.(check (option string))
+              "syntax error" None
+              (Option.map Limits.which_name (Parse_error.exhausted_which e));
+            Alcotest.(check int) "cold re-parse" 1 (Session.cold_fallbacks timed));
     Alcotest.test_case "edit at buffer end appends" `Quick (fun () ->
         let s = Session.create (calc ()) "1+2" in
         ignore (Session.reparse s);

@@ -436,8 +436,9 @@ let fmt_cmd =
     Term.(const run $ files_arg $ builtin_arg)
 
 (* The memo layout the default pipeline and [Config.optimized] give the
-   grammar: every run with a store memoizes the store slots; store-less
-   runs only those a backtrack point can revisit. *)
+   grammar: every run with a store memoizes the store slots, the
+   single-use ones among them because a reparse can step over them;
+   store-less runs only those a backtrack point can revisit. *)
 let print_memo_layout g =
   let names = function
     | [] -> "none"
@@ -446,7 +447,12 @@ let print_memo_layout g =
   match Rats.Pipeline.prepare_optimized g with
   | Error _ -> ()
   | Ok eng ->
-      Fmt.pr "store slots:      %s@." (names (Rats.Engine.store_slots eng));
+      let slots = Rats.Engine.store_slots eng in
+      Fmt.pr "store slots:      %s@." (names slots);
+      List.iter
+        (fun (n, why) ->
+          if List.mem n slots then Fmt.pr "  %s: reuse point, %s@." n why)
+        (Rats.Passes.reuse_points g);
       let kept = Option.value (Rats.Engine.one_shot_slots eng) ~default:[] in
       Fmt.pr "one-shot slots:   %s@."
         (names (List.map (fun (r : Rats.Analysis.revisit) -> r.production) kept));

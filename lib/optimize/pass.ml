@@ -16,7 +16,7 @@ let v ?(stage = Optimize) ?(invalidates = Analysis_ctx.Analyses) ~name ~doc run
 
 let transients =
   v ~name:"transients" ~invalidates:Analysis_ctx.Nothing
-    ~doc:"unmemoize productions referenced at most once"
+    ~doc:"unmemoize productions referenced at most once, except repetition items"
     (fun ctx g -> Passes.mark_transients ~ctx g)
 
 let terminals =

@@ -18,12 +18,73 @@ let prune ?ctx g =
 
 (* --- transient marking --------------------------------------------------- *)
 
+let single_use c (p : Production.t) =
+  p.attrs.Attr.memo = Attr.Memo_auto && Analysis_ctx.ref_count c p.name <= 1
+
+(* The productions an expression is a whole call of, looking through
+   value wrappers and choice alternatives: [Ref X], [@N(X)], [x:X],
+   [(X / Y)]. *)
+let rec whole_calls (e : Expr.t) acc =
+  match e.it with
+  | Expr.Ref n -> n :: acc
+  | Expr.Node (_, b) | Expr.Bind (_, b) | Expr.Drop b | Expr.Token b ->
+      whole_calls b acc
+  | Expr.Alt alts ->
+      List.fold_right (fun (a : Expr.alt) acc -> whole_calls a.body acc) alts acc
+  | _ -> acc
+
+(* The spine is what a warm reparse re-runs: the start production and,
+   transitively, every production it calls that single-use demotion or a
+   [transient] declaration leaves unmemoized. Items are the productions
+   called as the whole body of a spine repetition, and the whole
+   alternatives of an item's body. Witnesses are first-found, results in
+   grammar order. *)
+let reuse_points ?ctx g =
+  let c = ctx_for ?ctx g in
+  let unmemoized n =
+    match Grammar.find g n with
+    | Some p -> single_use c p || p.attrs.Attr.memo = Attr.Memo_never
+    | None -> false
+  in
+  let items = Hashtbl.create 8 and spine = Hashtbl.create 32 in
+  let rec add_item why n =
+    if not (Hashtbl.mem items n) then
+      match Grammar.find g n with
+      | None -> ()
+      | Some p ->
+          Hashtbl.replace items n why;
+          List.iter
+            (add_item (Printf.sprintf "alternative of item %s" n))
+            (whole_calls p.expr [])
+  in
+  let rec visit n =
+    if not (Hashtbl.mem spine n) then (
+      Hashtbl.replace spine n ();
+      let p = Grammar.find_exn g n in
+      Expr.fold
+        (fun () (e : Expr.t) ->
+          match e.it with
+          | Expr.Star b | Expr.Plus b ->
+              List.iter
+                (add_item (Printf.sprintf "item of %s's repetition" n))
+                (whole_calls b [])
+          | Expr.Ref m -> if unmemoized m then visit m
+          | _ -> ())
+        () p.expr)
+  in
+  visit (Grammar.start g);
+  List.filter_map
+    (fun (p : Production.t) ->
+      Option.map (fun why -> (p.name, why)) (Hashtbl.find_opt items p.name))
+    (Grammar.productions g)
+
 let mark_transients ?ctx g =
   let c = ctx_for ?ctx g in
+  let items = reuse_points ~ctx:c g in
   Grammar.map
     (fun (p : Production.t) ->
-      if p.attrs.Attr.memo = Attr.Memo_auto && Analysis_ctx.ref_count c p.name <= 1
-      then Production.with_attrs p { p.attrs with Attr.memo = Attr.Memo_never }
+      if single_use c p && not (List.mem_assoc p.name items) then
+        Production.with_attrs p { p.attrs with Attr.memo = Attr.Memo_never }
       else p)
     g
 

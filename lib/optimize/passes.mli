@@ -21,8 +21,22 @@ val mark_transients : ?ctx:Analysis_ctx.t -> Grammar.t -> Grammar.t
 (** Rats!'s {e transient productions}: flip [Memo_auto] to [Memo_never]
     for productions referenced at most once in the whole grammar — their
     results can never be demanded twice at the same position through
-    different paths, so memoizing them only costs memory. Explicit
-    [memoized] annotations are respected. *)
+    different paths, so memoizing them only costs memory — except the
+    {!reuse_points}, whose entries a session's reparse steps over.
+    Explicit [memoized] and [transient] annotations are respected. *)
+
+val reuse_points : ?ctx:Analysis_ctx.t -> Grammar.t -> (string * string) list
+(** The repetition items {!mark_transients} keeps memoizable, each with
+    a witness (["item of P's repetition"], ["alternative of item I"]), in
+    grammar order. The {e spine} is what a warm reparse re-runs every
+    time: the start production and, transitively, every production it
+    calls that single-use demotion or a [transient] declaration leaves
+    unmemoized; it does not enter productions that stay memoized. An
+    item is a production called as the whole body of a [*]/[+] in a
+    spine production (looking through [@N(..)], [x:..], [void:..],
+    [$(..)] and choice alternatives), or called as a whole alternative
+    of an item's body. A repetition inside a memoized production gives
+    no items: every reparse that reaches it re-runs it anyway. *)
 
 val mark_terminals : ?ctx:Analysis_ctx.t -> Grammar.t -> Grammar.t
 (** Rats!'s {e terminal optimization}: productions that sit at the

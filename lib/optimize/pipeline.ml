@@ -31,7 +31,8 @@ let registry ?inline_threshold () =
     step "+chunks" "memoize into per-position chunks instead of a hashtable"
       ~config:(fun c -> { c with Config.memo = Config.Chunked });
     step "+transients"
-      "single-reference productions lose their memo slots; store-less runs \
+      "single-reference productions lose their memo slots, except the \
+       repetition items a session reparse steps over; store-less runs \
        also skip the slots the revisit analysis finds no second visit for"
       ~passes:[ Pass.transients ]
       ~config:(fun c -> { c with Config.honor_transient = true });

@@ -985,10 +985,7 @@ let prepare ?(config = Config.optimized) gram =
                                  st.value)
                            else a.Memo_arena.res.(base) <- -1;
                            a.Memo_arena.vers.(base) <- ver0;
-                           let ext = st.examined - pos + 1 in
-                           a.Memo_arena.exts.(base) <- ext;
-                           if ext > a.Memo_arena.cmax.(c) then
-                             a.Memo_arena.cmax.(c) <- ext;
+                           Memo_arena.set_ext a c base (st.examined - pos + 1);
                            st.stats.Stats.memo_stores <-
                              st.stats.Stats.memo_stores + 1);
                          look st saved_ext;
@@ -1080,10 +1077,7 @@ let prepare ?(config = Config.optimized) gram =
                               a.Memo_arena.res.(base) <- p' - pos + 1
                             else a.Memo_arena.res.(base) <- -1);
                            a.Memo_arena.vers.(base) <- ver0;
-                           let ext = st.examined - pos + 1 in
-                           a.Memo_arena.exts.(base) <- ext;
-                           if ext > a.Memo_arena.cmax.(c) then
-                             a.Memo_arena.cmax.(c) <- ext;
+                           Memo_arena.set_ext a c base (st.examined - pos + 1);
                            st.stats.Stats.memo_stores <-
                              st.stats.Stats.memo_stores + 1);
                          look st saved_ext;

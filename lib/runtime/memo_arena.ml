@@ -12,6 +12,7 @@ type t = {
   mutable used : int;
   mutable free : int array;
   mutable nfree : int;
+  mutable max_ext : int;
   nslots : int;
   nvslots : int;
   vmap : int array;
@@ -32,6 +33,7 @@ let create ~nslots ~vmap =
     used = 0;
     free = [||];
     nfree = 0;
+    max_ext = 0;
     nslots;
     nvslots;
     vmap;
@@ -60,6 +62,7 @@ let release_values a =
     Array.fill a.vals 0 (a.used * a.nvslots) Value.Unit;
   a.used <- 0;
   a.nfree <- 0;
+  a.max_ext <- 0;
   a.idx_len <- -1
 
 let reset a ~len =
@@ -86,6 +89,11 @@ let alloc a pos =
   a.idx.(pos) <- c;
   c
 
+let set_ext a c base ext =
+  a.exts.(base) <- ext;
+  if ext > a.cmax.(c) then a.cmax.(c) <- ext;
+  if ext > a.max_ext then a.max_ext <- ext
+
 let free_chunk a c =
   if a.nvslots > 0 then Array.fill a.vals (c * a.nvslots) a.nvslots Value.Unit;
   if a.nfree = Array.length a.free then (
@@ -98,35 +106,33 @@ let free_chunk a c =
 let edit a ~start ~old_len ~new_len =
   let n = a.idx_len in
   let delta = new_len - old_len in
-  let reused = ref 0 and relocated = ref 0 in
-  (* Prefix [0, start): an entry survives iff its computation examined
-     nothing past [start]; cmax skips the slot scan for whole chunks. *)
-  for p = 0 to min (start - 1) (n - 1) do
+  (* Prefix: an entry survives iff its computation examined nothing past
+     [start]. No entry's extent exceeds [max_ext], so chunks before
+     [start - max_ext] survive whole and only this window is scanned;
+     cmax skips the slot scan for whole chunks inside it. *)
+  for p = max 0 (start - a.max_ext) to min (start - 1) (n - 1) do
     let c = a.idx.(p) in
-    if c >= 0 then
-      if p + a.cmax.(c) <= start then incr reused
-      else begin
-        let live = ref false and m = ref 0 in
-        let base = c * a.nslots in
-        for sl = 0 to a.nslots - 1 do
-          if a.res.(base + sl) <> 0 then
-            if p + a.exts.(base + sl) > start then begin
-              a.res.(base + sl) <- 0;
-              let v = a.vmap.(sl) in
-              if v >= 0 then a.vals.((c * a.nvslots) + v) <- Value.Unit
-            end
-            else begin
-              live := true;
-              if a.exts.(base + sl) > !m then m := a.exts.(base + sl)
-            end
-        done;
-        a.cmax.(c) <- !m;
-        if !live then incr reused
-        else begin
-          a.idx.(p) <- -1;
-          free_chunk a c
-        end
+    if c >= 0 && p + a.cmax.(c) > start then begin
+      let live = ref false and m = ref 0 in
+      let base = c * a.nslots in
+      for sl = 0 to a.nslots - 1 do
+        if a.res.(base + sl) <> 0 then
+          if p + a.exts.(base + sl) > start then begin
+            a.res.(base + sl) <- 0;
+            let v = a.vmap.(sl) in
+            if v >= 0 then a.vals.((c * a.nvslots) + v) <- Value.Unit
+          end
+          else begin
+            live := true;
+            if a.exts.(base + sl) > !m then m := a.exts.(base + sl)
+          end
+      done;
+      a.cmax.(c) <- !m;
+      if not !live then begin
+        a.idx.(p) <- -1;
+        free_chunk a c
       end
+    end
   done;
   (* Replaced region: those chunks cannot survive. *)
   let src = start + old_len in
@@ -138,26 +144,34 @@ let edit a ~start ~old_len ~new_len =
     end
   done;
   let n' = n + delta in
-  if src < n then begin
+  let relocated = ref 0 in
+  if delta <> 0 then begin
     if delta > 0 && Array.length a.idx < n' then begin
       let idx = Array.make (max n' (2 * Array.length a.idx)) (-1) in
       Array.blit a.idx 0 idx 0 n;
       a.idx <- idx
     end;
-    (* Array.blit handles the overlap (memmove), so shifting the whole
-       suffix is one move regardless of direction. *)
-    Array.blit a.idx src a.idx (src + delta) (n - src);
-    (* The window covering the new text holds stale ids after a
-       right-shift (the moved chunks' old homes); no chunk can be
-       anchored inside replaced text, so clear it. *)
-    Array.fill a.idx start new_len (-1);
-    for p = src + delta to n' - 1 do
-      if a.idx.(p) >= 0 then begin
-        incr reused;
-        if delta <> 0 then incr relocated
+    (* Move the suffix by [delta] with an int loop (a blit of an
+       old-generation array pays a write barrier per cell), copying away
+       from the overlap and clearing each vacated cell; every cell the
+       move leaves behind lies in the new text or past [n']. *)
+    let idx = a.idx in
+    let move p =
+      let c = idx.(p) in
+      if c >= 0 then begin
+        incr relocated;
+        idx.(p + delta) <- c;
+        idx.(p) <- -1
       end
-    done;
-    if delta < 0 then Array.fill a.idx n' (n - n') (-1)
+    in
+    if delta > 0 then
+      for p = n - 1 downto src do
+        move p
+      done
+    else
+      for p = src to n - 1 do
+        move p
+      done
   end;
   a.idx_len <- n';
-  (!reused, !relocated)
+  (a.used - a.nfree, !relocated)

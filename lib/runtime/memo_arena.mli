@@ -26,8 +26,12 @@
     arrays directly. Invariants: [idx.(p)] is [-1] or a chunk id [c]
     with [c * nslots] valid in [res]/[vers]/[exts]; a claimed chunk's
     [res] row is all zero until entries are stored; [vers]/[exts] cells
-    are garbage wherever [res] is 0. The arrays may be replaced on
-    growth — re-read them after any {!alloc}. *)
+    are garbage wherever [res] is 0; every claimed chunk not on the free
+    list is indexed by exactly one position; [cmax.(c)] bounds chunk
+    [c]'s stored extents and [max_ext] bounds every extent stored since
+    the last {!reset} — both hold because extents are written only
+    through {!set_ext}. The arrays may be replaced on growth — re-read
+    them after any {!alloc}. *)
 
 open Rats_peg
 
@@ -43,6 +47,7 @@ type t = {
   mutable used : int;  (* chunks ever claimed since last reset *)
   mutable free : int array;  (* recycled chunk ids *)
   mutable nfree : int;
+  mutable max_ext : int;  (* >= every extent stored since the last reset *)
   nslots : int;
   nvslots : int;
   vmap : int array;  (* slot -> value slot, -1 = value-free production *)
@@ -68,6 +73,11 @@ val alloc : t -> int -> int
     none), clears its [res] row and [cmax], records it in [idx], and
     returns its id. Amortized O(nslots). *)
 
+val set_ext : t -> int -> int -> int -> unit
+(** [set_ext a c base ext] records extent [ext] (bytes examined from the
+    chunk's position) for the entry at [base] of chunk [c], raising
+    [cmax.(c)] and [max_ext] to cover it. The only writer of [exts]. *)
+
 val free_chunk : t -> int -> unit
 (** Return chunk [c] to the free list, clearing its value slots; the
     caller clears (or overwrites) its [idx] entry. The id is reused by
@@ -81,4 +91,11 @@ val edit : t -> start:int -> old_len:int -> new_len:int -> int * int
     positions move by [new_len - old_len] (res offsets are relative, so
     a move is a pure re-index), and everything else is reclaimed.
     Requires a warm arena with [start + old_len <= idx_len - 1].
-    Returns [(reused, relocated)] chunk counts for [Stats]. *)
+    Returns [(reused, relocated)] chunk counts for [Stats]: every chunk
+    still indexed, and those among them that moved.
+
+    Cost follows the damage, not the buffer: O(min(start, max_ext) +
+    old_len) to invalidate (a chunk before [start - max_ext] cannot
+    reach [start]), plus O(idx_len - start - old_len) int moves for the
+    suffix when [new_len <> old_len] and none when the lengths match.
+    [reused] is [used - nfree], not a recount. *)

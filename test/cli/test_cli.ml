@@ -61,6 +61,25 @@ let tests =
           (contains json "store slots:      2 (JValue Member)");
         check Alcotest.bool "json keeps nothing" true
           (contains json "one-shot slots:   none"));
+    test "analyze prints the reuse points of the store layout" (fun () ->
+        let code, out = run "analyze -b minijava" in
+        check Alcotest.int "exit" 0 code;
+        check Alcotest.bool "store slots" true
+          (contains out
+             "store slots:      15 (Expression Assignment LogicalAnd Equality \
+              Relational Additive Multiplicative Unary Postfix ArgList Statement \
+              Block ClassDecl Field Method)\n");
+        List.iter
+          (fun w -> check Alcotest.bool w true (contains out ("  " ^ w ^ "\n")))
+          [
+            "ClassDecl: reuse point, item of CompilationUnit's repetition";
+            "Field: reuse point, alternative of item Member";
+            "Method: reuse point, alternative of item Member";
+            "Method: revisited in ClassDecl, alternative <Method> failing before \
+             <Field>, and what follows";
+          ];
+        check Alcotest.bool "PostfixTail stays transient" false
+          (contains out "PostfixTail"));
     test "parse an input file" (fun () ->
         let ini = write_temp "[a]\nx = 1\n" in
         let code, out =

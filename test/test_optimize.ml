@@ -83,6 +83,92 @@ let transient_tests =
         let g' = Passes.mark_transients g in
         check Alcotest.bool "kept" false
           (Attr.is_transient (Grammar.find_exn g' "A").Production.attrs));
+    (* Reuse points: single-use items of a repetition on the reparse
+       spine keep their memo slots, so a session reparse can step over
+       them. *)
+    test "a single-use repetition item stays memoizable" (fun () ->
+        let g =
+          Grammar.make_exn ~start:"S"
+            [ prod "S" (star (e "Item")); prod ~kind:Attr.Generic "Item" (c 'i') ]
+        in
+        check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+          "witness"
+          [ ("Item", "item of S's repetition") ]
+          (Passes.reuse_points g);
+        let g' = Passes.mark_terminals (Passes.mark_transients g) in
+        check Alcotest.bool "item memoizable" false
+          (Attr.is_transient (Grammar.find_exn g' "Item").Production.attrs);
+        check Alcotest.bool "start transient" true
+          (Attr.is_transient (Grammar.find_exn g' "S").Production.attrs));
+    test "an item's whole alternatives are items too" (fun () ->
+        let g =
+          Grammar.make_exn ~start:"S"
+            [
+              prod "S" (c '{' @: star (node "W" (e "Item")) @: c '}');
+              prod ~kind:Attr.Generic "Item" (label "A" (e "A") <|> label "B" (e "B"));
+              prod ~kind:Attr.Generic "A" (c 'a' @: c ';');
+              prod ~kind:Attr.Generic "B" (c 'b' @: c ';');
+            ]
+        in
+        check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+          "witnesses"
+          [
+            ("Item", "item of S's repetition");
+            ("A", "alternative of item Item");
+            ("B", "alternative of item Item");
+          ]
+          (Passes.reuse_points g);
+        let g' = Passes.mark_transients g in
+        List.iter
+          (fun n ->
+            check Alcotest.bool (n ^ " memoizable") false
+              (Attr.is_transient (Grammar.find_exn g' n).Production.attrs))
+          [ "Item"; "A"; "B" ]);
+    test "items of a memoized production's repetition stay transient"
+      (fun () ->
+        (* Every reparse reaching [M] re-runs it, so [X] entries would be
+           heap cost with no reuse. MiniJava's [PostfixTail] under the
+           memoized [Postfix] is the real case: memoizing it raised a
+           MiniJava session's peak heap by half. *)
+        let g =
+          Grammar.make_exn ~start:"S"
+            [
+              prod "S" (e "M" @: c ',' @: e "M");
+              prod ~kind:Attr.Generic "M" (star (e "X"));
+              prod ~kind:Attr.Generic "X" (c 'x');
+            ]
+        in
+        check Alcotest.int "no reuse points" 0 (List.length (Passes.reuse_points g));
+        let g' = Passes.mark_transients g in
+        check Alcotest.bool "X transient" true
+          (Attr.is_transient (Grammar.find_exn g' "X").Production.attrs);
+        let j = Passes.mark_transients (Grammars.Minijava.grammar ()) in
+        check Alcotest.bool "PostfixTail transient" true
+          (Attr.is_transient (Grammar.find_exn j "PostfixTail").Production.attrs);
+        check Alcotest.bool "Method memoizable" false
+          (Attr.is_transient (Grammar.find_exn j "Method").Production.attrs));
+    test "a declared-transient item stays transient" (fun () ->
+        let g =
+          Grammar.make_exn ~start:"S"
+            [
+              prod "S" (star (e "Item"));
+              prod ~kind:Attr.Generic ~memo:Attr.Memo_never "Item" (c 'i');
+            ]
+        in
+        let g' = Passes.mark_transients g in
+        check Alcotest.bool "transient" true
+          (Attr.is_transient (Grammar.find_exn g' "Item").Production.attrs));
+    test "a terminal-level item is unmemoized by the terminals pass" (fun () ->
+        let g =
+          Grammar.make_exn ~start:"S"
+            [ prod "S" (plus (e "Letter")); prod "Letter" (r 'a' 'z') ]
+        in
+        let g' = Passes.mark_transients g in
+        check Alcotest.bool "kept by transients" false
+          (Attr.is_transient (Grammar.find_exn g' "Letter").Production.attrs);
+        let g'' = Passes.mark_terminals g' in
+        check Alcotest.bool "dropped by terminals" true
+          ((Grammar.find_exn g'' "Letter").Production.attrs.Attr.memo = Attr.Memo_never));
   ]
 
 (* --- terminal detection ----------------------------------------------------------- *)

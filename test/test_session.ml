@@ -94,7 +94,7 @@ let gen_grammar st : Grammar.t =
   in
   Grammar.make_exn ~start:"P0" prods
 
-let gen_input g st =
+let walk_input g st =
   let buf = Buffer.create 32 in
   let rec walk budget (e : Expr.t) =
     if !budget <= 0 then ()
@@ -134,11 +134,16 @@ let gen_input g st =
   (match Grammar.find g (Grammar.start g) with
   | Some p -> walk (ref 40) p.Production.expr
   | None -> ());
-  let s = Buffer.contents buf in
+  Buffer.contents buf
+
+(* A one-byte mutation half the time keeps rejecting buffers in the mix. *)
+let mutate st s =
   if Gen.bool st || String.length s = 0 then s
   else
     let i = Gen.int_bound (String.length s - 1) st in
     String.mapi (fun j c -> if j = i then gen_char st else c) s
+
+let gen_input g st = mutate st (walk_input g st)
 
 (* An edit script: a list of batches; each batch is applied in full
    before one reparse (so relocation composes across edits). Offsets
@@ -200,6 +205,100 @@ let print_case (g, input, script) =
 
 let arb_case = QCheck.make ~print:print_case gen_case
 
+(* Reuse-point grammars: the start production repeats whole calls of
+   later productions ([(P1 / P2)* ...]), and some of those are choices of
+   whole calls again, so the transients pass keeps single-use items'
+   slots for sessions (the plain generator's repetition bodies are never
+   a bare call, so it never does). Every production but the start
+   consumes input, so each repetition is well-formed. *)
+let gen_item_grammar st =
+  let n = 3 + Gen.int_bound 3 st in
+  let name i = Printf.sprintf "P%d" i in
+  let later i = List.init (n - i - 1) (fun j -> name (i + j + 1)) in
+  let call i =
+    let pick () = Gen.oneofl (later i) st in
+    match (later i, Gen.int_bound 2 st) with
+    | [ only ], _ -> Expr.ref_ only
+    | _, 0 -> Expr.ref_ (pick ())
+    | _, 1 -> Expr.node "W" (Expr.ref_ (pick ()))
+    | _ -> Expr.alt [ Expr.ref_ (pick ()); Expr.ref_ (pick ()) ]
+  in
+  let body i =
+    if i = 0 then
+      Expr.seq [ Expr.star (call 0); gen_expr ~refs:(later 0) ~depth:1 st ]
+    else if i < n - 1 && Gen.int_bound 2 st = 0 then call i
+    else gen_consuming ~refs:(later i) ~depth:2 st
+  in
+  (* Small productions are inlined and plain lexical ones are left
+     unmemoized by the terminals pass; [noinline] generic ones keep
+     the slots the rule gives them through the whole pipeline. *)
+  let attrs () =
+    let kind = if Gen.int_bound 2 st > 0 then Attr.Generic else Attr.Plain in
+    let inline = if Gen.bool st then Attr.Inline_never else Attr.Inline_auto in
+    Attr.v ~kind ~inline ()
+  in
+  Grammar.make_exn ~start:"P0"
+    (List.init n (fun i -> Production.v ~attrs:(attrs ()) (name i) (body i)))
+
+(* A buffer of 1-8 items then the rest of the start production, with
+   an edit script that mostly replaces, deletes or inserts whole items
+   (fresh walks of the repetition body), so warm reparses keep meeting
+   the items' entries; one edit in four is a raw byte edit as in
+   [gen_script], after which item boundaries are no longer tracked. *)
+let gen_item_case st =
+  let g =
+    let g = gen_item_grammar st in
+    if Analysis.check (Analysis.analyze g) = [] then g
+    else Grammar.make_exn [ Production.v "P0" (Expr.star (Expr.chr 'a')) ]
+  in
+  let item, rest =
+    match (Grammar.find_exn g "P0").expr.Expr.it with
+    | Expr.Seq ({ Expr.it = Expr.Star item; _ } :: rest) -> (item, rest)
+    | Expr.Star item -> (item, [])
+    | _ -> (Expr.chr 'a', [])
+  in
+  let walk e =
+    walk_input (Grammar.update g "P0" (fun p -> Production.with_expr p e)) st
+  in
+  let items = List.init (1 + Gen.int_bound 7 st) (fun _ -> walk item) in
+  let input = mutate st (String.concat "" items ^ walk (Expr.seq rest)) in
+  let lens = ref (Some (List.map String.length items)) in
+  let len = ref (String.length input) in
+  (* Replace or delete item [k], or insert a fresh one before it. *)
+  let item_edit ls =
+    let n = List.length ls in
+    let k = Gen.int_bound n st in
+    let before = List.filteri (fun i _ -> i < k) ls in
+    let drop = if k < n && Gen.int_bound 2 st > 0 then 1 else 0 in
+    let fresh = if drop = 1 && Gen.bool st then "" else walk item in
+    let after = List.filteri (fun i _ -> i >= k + drop) ls in
+    let kept = if fresh = "" then [] else [ String.length fresh ] in
+    lens := Some (before @ kept @ after);
+    {
+      start = List.fold_left ( + ) 0 before;
+      old_len = (if drop = 1 then List.nth ls k else 0);
+      replacement = fresh;
+    }
+  in
+  let script =
+    List.init (1 + Gen.int_bound 2 st) (fun _ ->
+        List.init (1 + Gen.int_bound 1 st) (fun _ ->
+            let e =
+              match !lens with
+              | Some ls when Gen.int_bound 3 st > 0 -> item_edit ls
+              | _ ->
+                  lens := None;
+                  let start = Gen.int_bound (max 0 !len) st in
+                  let old_len = min (!len - start) (Gen.int_bound 3 st) in
+                  { start; old_len; replacement = gen_replacement g st }
+            in
+            len := !len - e.old_len + String.length e.replacement;
+            e))
+  in
+  (g, input, script)
+
+let arb_item_case = QCheck.make ~print:print_case gen_item_case
+
 let splice text { start; old_len; replacement } =
   String.sub text 0 start
   ^ replacement
@@ -240,14 +339,15 @@ let configs =
         Config.optimized );
   ]
 
-let session_equiv_prop (label, cfg) count =
+let session_equiv_prop ?(arb = arb_case) ?(prepare = Fun.id) (label, cfg)
+    count =
   QCheck.Test.make
     ~name:
       (Printf.sprintf "reparse = cold parse = reference on final buffer (%s)"
          label)
-    ~count arb_case
+    ~count arb
     (fun (g, input, script) ->
-      match Engine.prepare ~config:cfg g with
+      match Engine.prepare ~config:cfg (prepare g) with
       | Error _ -> true
       | Ok eng ->
           let session = Session.create eng input in
@@ -284,6 +384,20 @@ let session_equiv_prop (label, cfg) count =
 
 let session_props =
   List.map (fun c -> session_equiv_prop c 150) configs
+
+(* Sessions on the optimizer's store layout, reuse points included,
+   against the reference on the grammar as written. *)
+let reuse_point_props =
+  List.map
+    (fun c ->
+      session_equiv_prop ~arb:arb_item_case ~prepare:Pipeline.optimize c 500)
+    [
+      ("optimized pipeline, reuse points", Config.optimized);
+      ( "optimized pipeline, reuse points, governed",
+        Config.with_limits
+          (Limits.v ~fuel:200_000 ~max_depth:200 ())
+          Config.optimized );
+    ]
 
 (* Error rendering is deterministic: the same failing parse renders the
    same message on repeated runs (expected sets are sorted before
@@ -380,6 +494,44 @@ let unit_tests =
               "syntax error" None
               (Option.map Limits.which_name (Parse_error.exhausted_which e));
             Alcotest.(check int) "cold re-parse" 1 (Session.cold_fallbacks timed));
+    Alcotest.test_case "a one-byte edit re-runs about 1% of a cold parse"
+      `Quick (fun () ->
+        (* The reuse points of the store layout (ClassDecl, Method,
+           Field) let a reparse step over every undamaged class and
+           member; with them single-use and unmemoized it re-ran every
+           member header (1,602 of 41,964 invocations). *)
+        let g = Grammars.Minijava.grammar () in
+        let eng =
+          Engine.prepare_exn ~config:Config.optimized (Pipeline.optimize g)
+        in
+        let text = Grammars.Corpus.minijava (Rng.create 7) ~classes:40 in
+        Alcotest.(check int) "corpus size" 33_713 (String.length text);
+        let s = Session.create eng text in
+        let cold = Session.reparse s in
+        let cold_calls = (Session.stats s).Stats.invocations in
+        let at =
+          let rec digit i =
+            if text.[i] >= '0' && text.[i] <= '9' then i else digit (i + 1)
+          in
+          digit (String.length text / 2)
+        in
+        let d = if text.[at] = '7' then "3" else "7" in
+        Session.apply_edit s ~start:at ~old_len:1 ~replacement:d;
+        let warm = Session.reparse s in
+        let warm_calls = (Session.stats s).Stats.invocations in
+        if 100 * warm_calls > cold_calls then
+          Alcotest.failf "warm reparse: %d invocations, cold parse: %d"
+            warm_calls cold_calls;
+        Alcotest.(check int) "no cold fallback" 0 (Session.cold_fallbacks s);
+        Alcotest.(check bool) "cold parse accepts" true (Result.is_ok cold);
+        let edited = Session.text s in
+        let fresh = parse eng edited in
+        if not (obs_equal (obs_of warm) (obs_of fresh)) then
+          Alcotest.failf "warm %s, cold %s" (obs_print (obs_of warm))
+            (obs_print (obs_of fresh));
+        match Oracle.result_mismatch ~config:Config.optimized g edited warm with
+        | None -> ()
+        | Some report -> Alcotest.fail report);
     Alcotest.test_case "edit at buffer end appends" `Quick (fun () ->
         let s = Session.create (calc ()) "1+2" in
         ignore (Session.reparse s);
@@ -513,6 +665,7 @@ let () =
   Alcotest.run "session"
     [
       ("session-equivalence", to_alco session_props);
+      ("reuse-points", to_alco reuse_point_props);
       ("arena-recycling", to_alco recycle_props);
       ("error-determinism", to_alco determinism_props);
       ("session-unit", unit_tests);

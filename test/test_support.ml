@@ -500,14 +500,13 @@ let memo_arena_tests =
         (* chunk at 0 examined 2 bytes: safely before the splice *)
         let c0 = alloc a 0 in
         a.res.(c0 * 2) <- 1;
-        a.exts.(c0 * 2) <- 2;
-        a.cmax.(c0) <- 2;
+        set_ext a c0 (c0 * 2) 2;
         (* chunk at 6: inside the replaced window, must die *)
         ignore (alloc a 6);
         (* chunk at 12: past the window, relocates by the delta *)
         let c2 = alloc a 12 in
         a.res.(c2 * 2) <- 3;
-        a.cmax.(c2) <- 1;
+        set_ext a c2 (c2 * 2) 1;
         (* replace 4 bytes at 5 with 2 bytes: delta -2 *)
         let reused, relocated = edit a ~start:5 ~old_len:4 ~new_len:2 in
         check Alcotest.int "reused" 2 reused;
@@ -524,15 +523,113 @@ let memo_arena_tests =
            and whose slot-1 entry stopped short of it *)
         let c = alloc a 2 in
         a.res.(c * 2) <- 1;
-        a.exts.(c * 2) <- 10;
+        set_ext a c (c * 2) 10;
         a.res.((c * 2) + 1) <- -1;
-        a.exts.((c * 2) + 1) <- 1;
-        a.cmax.(c) <- 10;
+        set_ext a c ((c * 2) + 1) 1;
         let reused, _ = edit a ~start:4 ~old_len:2 ~new_len:2 in
         check Alcotest.int "chunk survives" 1 reused;
         check Alcotest.int "far entry dropped" 0 a.res.(c * 2);
         check Alcotest.int "near entry kept" (-1) a.res.((c * 2) + 1);
         check Alcotest.int "cmax tightened" 1 a.cmax.(c));
+  ]
+
+(* The splice against the full-scan oracle: one script of stores and
+   edits drives two arenas, one spliced by [Memo_arena.edit] and one by
+   [Splice_oracle.edit], which must agree after every edit. Steps are
+   raw ints read against the arena's current length, so every script is
+   valid. *)
+type arena_step = Store of int * int * int * int | Edit of int * int * int * int
+
+let print_arena_case (nslots, vbits, len, steps) =
+  Printf.sprintf "nslots=%d vbits=%d len=%d [%s]" nslots vbits len
+    (String.concat "; "
+       (List.map
+          (function
+            | Store (a, b, c, d) -> Printf.sprintf "Store(%d,%d,%d,%d)" a b c d
+            | Edit (a, b, c, d) -> Printf.sprintf "Edit(%d,%d,%d,%d)" a b c d)
+          steps))
+
+let gen_arena_case =
+  let open QCheck.Gen in
+  let raw = int_bound 1_000 in
+  let step =
+    frequency
+      [
+        (3, map (fun (a, b, c, d) -> Store (a, b, c, d)) (quad raw raw raw raw));
+        (1, map (fun (a, b, c, d) -> Edit (a, b, c, d)) (quad raw raw raw raw));
+      ]
+  in
+  quad (int_range 1 3) (int_bound 7) (int_bound 80) (list_size (int_range 1 40) step)
+
+let splice_matches_oracle (nslots, vbits, len, steps) =
+  let open Memo_arena in
+  let vmap =
+    let next = ref 0 in
+    Array.init nslots (fun sl ->
+        if vbits land (1 lsl sl) = 0 then -1
+        else (
+          incr next;
+          !next - 1))
+  in
+  let a = create ~nslots ~vmap and o = create ~nslots ~vmap in
+  reset a ~len;
+  reset o ~len;
+  let store x (pos, slot, r, ext) =
+    let c = if x.idx.(pos) >= 0 then x.idx.(pos) else alloc x pos in
+    let base = (c * nslots) + slot in
+    x.res.(base) <- r;
+    if vmap.(slot) >= 0 then
+      x.vals.((c * x.nvslots) + vmap.(slot)) <- Value.Str (string_of_int r);
+    set_ext x c base ext
+  in
+  let same_rows c =
+    let rows = ref true in
+    for sl = 0 to nslots - 1 do
+      let b = (c * nslots) + sl in
+      rows :=
+        !rows
+        && a.res.(b) = o.res.(b)
+        && (a.res.(b) = 0
+           || a.exts.(b) = o.exts.(b)
+              && (vmap.(sl) < 0
+                 || Value.equal
+                      a.vals.((c * a.nvslots) + vmap.(sl))
+                      o.vals.((c * o.nvslots) + vmap.(sl))))
+    done;
+    !rows && a.cmax.(c) = o.cmax.(c)
+  in
+  List.for_all
+    (fun step ->
+      let len = a.idx_len - 1 in
+      match step with
+      | Store (p, sl, r, e) ->
+          let pos = p mod (len + 1) in
+          let room = len - pos + 1 in
+          let r = if r mod 5 = 0 then -1 else 1 + (r mod room) in
+          let entry = (pos, sl mod nslots, r, e mod (room + 1)) in
+          store a entry;
+          store o entry;
+          true
+      | Edit (s, o_, n, k) ->
+          let start = match s mod 4 with 0 -> 0 | 1 -> len | _ -> s mod (len + 1) in
+          let old_len = o_ mod (len - start + 1) in
+          let new_len = if k mod 3 = 0 then old_len else n mod 6 in
+          let got = edit a ~start ~old_len ~new_len in
+          let want = Splice_oracle.edit o ~start ~old_len ~new_len in
+          let live = ref true in
+          for p = 0 to a.idx_len - 1 do
+            let c = a.idx.(p) in
+            if c >= 0 then live := !live && same_rows c
+          done;
+          got = want && a.idx_len = o.idx_len && a.idx = o.idx && a.used = o.used
+          && a.nfree = o.nfree && !live)
+    steps
+
+let memo_arena_props =
+  [
+    QCheck.Test.make ~name:"bounded splice = full-scan splice" ~count:1000
+      (QCheck.make ~print:print_arena_case gen_arena_case)
+      splice_matches_oracle;
   ]
 
 let () =
@@ -544,7 +641,7 @@ let () =
       ("input", input_tests);
       ("source-mapped", mapped_source_tests);
       ("source-edit", source_edit_tests @ to_alco source_edit_props);
-      ("memo-arena", memo_arena_tests);
+      ("memo-arena", memo_arena_tests @ to_alco memo_arena_props);
       ("diagnostic", diagnostic_tests);
       ("rng", rng_tests);
     ]

@@ -22,6 +22,7 @@
      e10 batch pipeline and degradation ladder       (supplementary) *)
 
 open Rats
+module Alloc_probe = Rats_probe.Alloc_probe
 
 let quick = ref false
 let micro = ref false
@@ -106,16 +107,19 @@ let time_best ?(repeats = 5) f =
    medians, reusing E8's reasoning: a median over interleaved runs
    shrugs off the one iteration that ran under a sibling process, where
    a best-of flickers. Allocation is measured once, after the warmup
-   run: parsing is deterministic, so [Gc.allocated_bytes] deltas are
+   run: parsing is deterministic, so [Alloc_probe.words] deltas are
    exact and need no repetition to be stable — they are the
    machine-independent half of every BENCH_*.json row. *)
 type meas = {
   m_best : float;  (* seconds *)
   m_median : float;  (* seconds *)
-  m_minor_words : float;  (* words, one run *)
-  m_promoted_words : float;
   m_alloc_bytes : float;  (* bytes, one run *)
 }
+
+let alloc_bytes f =
+  let w0 = Alloc_probe.words () in
+  ignore (f ());
+  (Alloc_probe.words () -. w0) *. Alloc_probe.word_bytes
 
 let median_of times =
   let a = Array.copy times in
@@ -133,17 +137,10 @@ let measure ?(repeats = 7) f =
     ignore (f ());
     times.(i) <- now () -. t0
   done;
-  let s0 = Gc.quick_stat () in
-  let a0 = Gc.allocated_bytes () in
-  ignore (f ());
-  let a1 = Gc.allocated_bytes () in
-  let s1 = Gc.quick_stat () in
   {
     m_best = Array.fold_left min infinity times;
     m_median = median_of times;
-    m_minor_words = s1.Gc.minor_words -. s0.Gc.minor_words;
-    m_promoted_words = s1.Gc.promoted_words -. s0.Gc.promoted_words;
-    m_alloc_bytes = a1 -. a0;
+    m_alloc_bytes = alloc_bytes f;
   }
 
 let ms t = t *. 1000.
@@ -275,8 +272,6 @@ let e2_language lang corpus contenders =
           ("time_ms", jfloat (ms t));
           ("median_ms", jfloat (ms m.m_median));
           ("mb_per_s", jfloat (mbs bytes t));
-          ("minor_words", jfloat m.m_minor_words);
-          ("promoted_words", jfloat m.m_promoted_words);
           ("allocated_bytes_per_parse", jfloat m.m_alloc_bytes);
           ("rel", jfloat rel);
         ];
@@ -577,9 +572,7 @@ let e5 () =
       let entries = Stats.memo_entries out.stats in
       (* GC-level allocation during one parse, as a cross-check on the
          entry counts. *)
-      let before = Gc.allocated_bytes () in
-      ignore (Engine.run eng corpus);
-      let mb = (Gc.allocated_bytes () -. before) /. 1_048_576. in
+      let mb = alloc_bytes (fun () -> Engine.run eng corpus) /. 1_048_576. in
       row "  %-26s %7d %10d %12d %14.2f %11.1f\n" name
         (Engine.memo_slots eng) out.stats.Stats.chunks_allocated entries
         (float_of_int entries /. float_of_int bytes)
@@ -656,8 +649,6 @@ let e5 () =
               ("warm_ms", jfloat (ms warm));
               ("median_warm_ms", jfloat (ms mwarm.m_median));
               ("speedup", jfloat speedup);
-              ("minor_words", jfloat mwarm.m_minor_words);
-              ("promoted_words", jfloat mwarm.m_promoted_words);
               ("allocated_bytes_per_reparse", jfloat mwarm.m_alloc_bytes);
               ("reused", jint st.Stats.memo_reused);
               ("relocated", jint st.Stats.memo_relocated);

@@ -97,7 +97,11 @@ let optimize_arg =
   Arg.(
     value & flag
     & info [ "O"; "optimize" ]
-        ~doc:"Run the grammar optimization pipeline before use.")
+        ~doc:
+          "Run the grammar optimization pipeline before printing. Every \
+           other command accepts and ignores it: $(b,parse) and \
+           $(b,generate) always run the pipeline, and $(b,profile), \
+           $(b,trace) and $(b,coverage) report on the grammar as written.")
 
 let config_arg =
   let conv_config = function
@@ -175,6 +179,26 @@ let compose_from files builtin root start =
       match root with
       | None -> Error [ Rats.Diagnostic.error "no --root given" ]
       | Some root -> Rats.compose ?start ~root modules)
+
+(* The passes between a command's composed grammar and what it runs,
+   behind the driver's well-formedness gate. Commands that use the parse
+   result run the library's pipeline: what [Rats.parser_of] prepares by
+   default and [Rats.generate] emits. [--recognize] then erases every
+   kind, so that everything downstream (engine preparation, --stats,
+   exit codes) sees an ordinary grammar that happens to be all-Void;
+   erasure renames nothing, so it cannot fail. Commands that report on
+   the grammar ([profile], [trace], [coverage]) run it as written: the
+   pipeline inlines small productions away, and their rows with them;
+   [parse --profile] and [parse --trace-ring] observe the optimized run. *)
+let command_passes = function
+  | `Report -> []
+  | `Use -> Rats.Pipeline.passes ()
+  | `Recognize ->
+      Rats.Pipeline.passes ()
+      @ [
+          Rats.Pass.v ~name:"recognize" ~doc:"erase every production kind"
+            (fun _ g -> Option.get (Rats.Batch.recognizer_erase g));
+        ]
 
 (* --- subcommands ------------------------------------------------------------ *)
 
@@ -435,16 +459,16 @@ let fmt_cmd =
        ~doc:"Parse grammar modules and print them back formatted.")
     Term.(const run $ files_arg $ builtin_arg)
 
-(* The memo layout the default pipeline and [Config.optimized] give the
-   grammar: every run with a store memoizes the store slots, the
-   single-use ones among them because a reparse can step over them;
-   store-less runs only those a backtrack point can revisit. *)
+(* The memo layout [Rats.parser_of] gives the grammar: every run with a
+   store memoizes the store slots, the single-use ones among them
+   because a reparse can step over them; store-less runs only those a
+   backtrack point can revisit. *)
 let print_memo_layout g =
   let names = function
     | [] -> "none"
     | ns -> Printf.sprintf "%d (%s)" (List.length ns) (String.concat " " ns)
   in
-  match Rats.Pipeline.prepare_optimized g with
+  match Rats.parser_of g with
   | Error _ -> ()
   | Ok eng ->
       let slots = Rats.Engine.store_slots eng in
@@ -761,7 +785,7 @@ let parse_cmd =
              twin of --stats: same 12 counters, same order). Incompatible \
              with --batch, whose JSONL records carry their own counters.")
   in
-  let run files builtin root start optimize config fuel max_depth max_memo
+  let run files builtin root start _ config fuel max_depth max_memo
       max_input timeout input use_stdin mmap batch batch_sep faults_spec
       recognize stats quiet edits profile ring metrics_out
       trace_out progress stats_json =
@@ -874,21 +898,7 @@ let parse_cmd =
                 | None -> ())
             | None -> ()
         in
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        (* Whole-grammar kind erasure, up front: everything downstream —
-           engine preparation, --stats, exit codes — sees an ordinary
-           grammar that happens to be all-Void. *)
-        let g =
-          if not recognize then g
-          else
-            match Rats.Batch.recognizer_erase g with
-            | Some g -> g
-            | None ->
-                raise
-                  (Rats.Diagnostic.Fail
-                     (Rats.Diagnostic.error
-                        "recognizer erasure produced an ill-formed grammar"))
-        in
+        let passes = command_passes (if recognize then `Recognize else `Use) in
         match batch with
         | Some spec -> (
             let faults =
@@ -992,8 +1002,9 @@ let parse_cmd =
               end
             in
             match
-              Rats.Batch.run ~config ?deadline_ns ~faults ?metrics:reg ?spans
-                ~on_record g source
+              Result.bind (Rats.Driver.run passes g) (fun o ->
+                  Rats.Batch.run ~config ?deadline_ns ~faults ?metrics:reg
+                    ?spans ~on_record o.Rats.Driver.grammar source)
             with
             | Error ds -> print_errors ds
             | Ok report ->
@@ -1020,7 +1031,7 @@ let parse_cmd =
                   report.Rats.Batch.summary;
                 Rats.Batch.exit_code report)
         | None -> (
-        match Rats.Engine.prepare ~config g with
+        match Rats.parser_of ~passes ~config g with
         | Error ds -> print_errors ds
         | Ok eng -> (
             let source =
@@ -1200,6 +1211,17 @@ let obs_input_arg =
     & info [ "i"; "input" ] ~docv:"FILE"
         ~doc:"Input file to parse ('-' for stdin).")
 
+(* The engine of [profile], [trace] and [coverage]: the grammar as
+   written ([command_passes `Report]), observed as [want] asks. *)
+let with_report_engine want files builtin root start config k =
+  match
+    Result.bind (compose_from files builtin root start)
+      (Rats.parser_of ~passes:(command_passes `Report)
+         ~config:(Rats.Config.with_observe want config))
+  with
+  | Error ds -> print_errors ds
+  | Ok eng -> k eng
+
 let profile_cmd =
   let top_arg =
     Arg.(
@@ -1226,68 +1248,59 @@ let profile_cmd =
              https://www.speedscope.app) or chrome (chrome://tracing and \
              Perfetto).")
   in
-  let run files builtin root start optimize config input top flame
-      flame_format =
+  let run files builtin root start _ config input top flame flame_format =
     guarded @@ fun () ->
-    match compose_from files builtin root start with
-    | Error ds -> print_errors ds
-    | Ok g -> (
-        let config =
-          Rats.Config.with_observe
-            { Rats.Observe.off with Rats.Observe.profile = true }
-            config
-        in
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        match Rats.Engine.prepare ~config g with
-        | Error ds -> print_errors ds
-        | Ok eng -> (
-            let text = read_input input in
-            let out = Rats.Engine.run eng text in
-            let prof =
-              match Rats.Engine.observation eng with
-              | Some o -> Rats.Observe.profile o
-              | None -> None
+    with_report_engine
+      { Rats.Observe.off with Rats.Observe.profile = true }
+      files builtin root start config
+    @@ fun eng ->
+    let text = read_input input in
+    let out = Rats.Engine.run eng text in
+    let prof =
+      match Rats.Engine.observation eng with
+      | Some o -> Rats.Observe.profile o
+      | None -> None
+    in
+    match prof with
+    | None ->
+        Fmt.epr "rml: internal error: no profile was recorded@.";
+        exit_internal
+    | Some p ->
+        (match out.Rats.Engine.result with
+        | Ok _ -> ()
+        | Error e ->
+            let source =
+              Rats.Source.of_string
+                ~name:(if input = "-" then "<stdin>" else input)
+                text
             in
-            match prof with
-            | None ->
-                Fmt.epr "rml: internal error: no profile was recorded@.";
-                exit_internal
-            | Some p ->
-                (match out.Rats.Engine.result with
-                | Ok _ -> ()
-                | Error e ->
-                    let source =
-                      Rats.Source.of_string
-                        ~name:(if input = "-" then "<stdin>" else input)
-                        text
-                    in
-                    Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e));
-                (if top <= 0 then
-                   Fmt.pr "%a" (Rats.Profile.pp_table ?top:None) p
-                 else Fmt.pr "%a" (Rats.Profile.pp_table ~top) p);
-                (match flame with
-                | None -> ()
-                | Some path ->
-                    let doc =
-                      match flame_format with
-                      | `Speedscope ->
-                          Rats.Profile.to_speedscope
-                            ~name:(if input = "-" then "stdin" else input)
-                            p
-                      | `Chrome -> Rats.Profile.to_chrome p
-                    in
-                    Out_channel.with_open_bin path (fun oc ->
-                        Out_channel.output_string oc doc);
-                    Fmt.epr "rml: wrote %s@." path);
-                if Rats.Profile.truncated p then
-                  Fmt.epr
-                    "note: flame event log truncated; the table stays exact@.";
-                (match out.Rats.Engine.result with
-                | Ok _ -> 0
-                | Error e ->
-                    if Rats.Parse_error.exhausted_which e <> None then
-                      exit_resource
-                    else exit_parse)))
+            Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e));
+        (if top <= 0 then
+           Fmt.pr "%a" (Rats.Profile.pp_table ?top:None) p
+         else Fmt.pr "%a" (Rats.Profile.pp_table ~top) p);
+        (match flame with
+        | None -> ()
+        | Some path ->
+            let doc =
+              match flame_format with
+              | `Speedscope ->
+                  Rats.Profile.to_speedscope
+                    ~name:(if input = "-" then "stdin" else input)
+                    p
+              | `Chrome -> Rats.Profile.to_chrome p
+            in
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc doc);
+            Fmt.epr "rml: wrote %s@." path);
+        if Rats.Profile.truncated p then
+          Fmt.epr
+            "note: flame event log truncated; the table stays exact@.";
+        (match out.Rats.Engine.result with
+        | Ok _ -> 0
+        | Error e ->
+            if Rats.Parse_error.exhausted_which e <> None then
+              exit_resource
+            else exit_parse)
   in
   Cmd.v
     (Cmd.info "profile"
@@ -1324,49 +1337,39 @@ let trace_cmd =
             "Abort after N production invocations (exit 4); the trip \
              lands as the final ring event.")
   in
-  let run files builtin root start optimize config fuel input ring last
-      =
+  let run files builtin root start _ config fuel input ring last =
     guarded @@ fun () ->
-    match compose_from files builtin root start with
-    | Error ds -> print_errors ds
-    | Ok g -> (
-        let config =
-          match fuel with
-          | None -> config
-          | Some _ ->
-              Rats.Config.with_limits (Rats.Limits.v ?fuel ()) config
+    let config =
+      match fuel with
+      | None -> config
+      | Some _ -> Rats.Config.with_limits (Rats.Limits.v ?fuel ()) config
+    in
+    with_report_engine
+      {
+        Rats.Observe.off with
+        Rats.Observe.events = true;
+        ring_bytes = max 1 ring * Rats.Observe.event_bytes;
+      }
+      files builtin root start config
+    @@ fun eng ->
+    let text = read_input input in
+    let out = Rats.Engine.run eng text in
+    (match Rats.Engine.observation eng with
+    | Some o ->
+        Fmt.pr "%a" (Rats.Observe.pp_events ~input:text ?last) o
+    | None -> ());
+    match out.Rats.Engine.result with
+    | Ok _ -> 0
+    | Error e ->
+        let source =
+          Rats.Source.of_string
+            ~name:(if input = "-" then "<stdin>" else input)
+            text
         in
-        let config =
-          Rats.Config.with_observe
-            {
-              Rats.Observe.off with
-              Rats.Observe.events = true;
-              ring_bytes = max 1 ring * Rats.Observe.event_bytes;
-            }
-            config
-        in
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        match Rats.Engine.prepare ~config g with
-        | Error ds -> print_errors ds
-        | Ok eng -> (
-            let text = read_input input in
-            let out = Rats.Engine.run eng text in
-            (match Rats.Engine.observation eng with
-            | Some o ->
-                Fmt.pr "%a" (Rats.Observe.pp_events ~input:text ?last) o
-            | None -> ());
-            match out.Rats.Engine.result with
-            | Ok _ -> 0
-            | Error e ->
-                let source =
-                  Rats.Source.of_string
-                    ~name:(if input = "-" then "<stdin>" else input)
-                    text
-                in
-                Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e);
-                if Rats.Parse_error.exhausted_which e <> None then
-                  exit_resource
-                else exit_parse))
+        Fmt.epr "%s@." (Rats.Parse_error.to_string ~source e);
+        if Rats.Parse_error.exhausted_which e <> None then
+          exit_resource
+        else exit_parse
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1396,58 +1399,50 @@ let coverage_cmd =
           ~doc:
             "Exit 1 when any production or alternative stays unexercised.")
   in
-  let run files builtin root start optimize config corpus strict =
+  let run files builtin root start _ config corpus strict =
     guarded @@ fun () ->
-    match compose_from files builtin root start with
-    | Error ds -> print_errors ds
-    | Ok g -> (
-        let config =
-          Rats.Config.with_observe
-            { Rats.Observe.off with Rats.Observe.coverage = true }
-            config
-        in
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        match Rats.Engine.prepare ~config g with
-        | Error ds -> print_errors ds
-        | Ok eng -> (
-            let paths =
-              List.concat_map
-                (fun p ->
-                  if Sys.is_directory p then
-                    Sys.readdir p |> Array.to_list
-                    |> List.sort String.compare
-                    |> List.filter_map (fun f ->
-                           let full = Filename.concat p f in
-                           if Sys.is_directory full then None else Some full)
-                  else [ p ])
-                corpus
+    with_report_engine
+      { Rats.Observe.off with Rats.Observe.coverage = true }
+      files builtin root start config
+    @@ fun eng ->
+    let paths =
+      List.concat_map
+        (fun p ->
+          if Sys.is_directory p then
+            Sys.readdir p |> Array.to_list
+            |> List.sort String.compare
+            |> List.filter_map (fun f ->
+                   let full = Filename.concat p f in
+                   if Sys.is_directory full then None else Some full)
+          else [ p ])
+        corpus
+    in
+    match paths with
+    | [] ->
+        Fmt.epr "rml: no corpus inputs (use --corpus FILE-or-DIR)@.";
+        2
+    | paths -> (
+        let ok = ref 0 and failed = ref 0 in
+        List.iter
+          (fun path ->
+            let text =
+              In_channel.with_open_bin path In_channel.input_all
             in
-            match paths with
-            | [] ->
-                Fmt.epr "rml: no corpus inputs (use --corpus FILE-or-DIR)@.";
-                2
-            | paths -> (
-                let ok = ref 0 and failed = ref 0 in
-                List.iter
-                  (fun path ->
-                    let text =
-                      In_channel.with_open_bin path In_channel.input_all
-                    in
-                    match (Rats.Engine.run eng text).Rats.Engine.result with
-                    | Ok _ -> incr ok
-                    | Error _ -> incr failed)
-                  paths;
-                Fmt.pr "corpus: %d inputs (%d ok, %d failed)@."
-                  (List.length paths) !ok !failed;
-                match Rats.Engine.observation eng with
-                | Some o ->
-                    Fmt.pr "%a" Rats.Observe.pp_coverage o;
-                    let dead_prods, dead_arms = Rats.Observe.unexercised o in
-                    if strict && (dead_prods <> [] || dead_arms <> []) then 1
-                    else 0
-                | None ->
-                    Fmt.epr "rml: internal error: no coverage was recorded@.";
-                    exit_internal)))
+            match (Rats.Engine.run eng text).Rats.Engine.result with
+            | Ok _ -> incr ok
+            | Error _ -> incr failed)
+          paths;
+        Fmt.pr "corpus: %d inputs (%d ok, %d failed)@."
+          (List.length paths) !ok !failed;
+        match Rats.Engine.observation eng with
+        | Some o ->
+            Fmt.pr "%a" Rats.Observe.pp_coverage o;
+            let dead_prods, dead_arms = Rats.Observe.unexercised o in
+            if strict && (dead_prods <> [] || dead_arms <> []) then 1
+            else 0
+        | None ->
+            Fmt.epr "rml: internal error: no coverage was recorded@.";
+            exit_internal)
   in
   Cmd.v
     (Cmd.info "coverage"
@@ -1473,13 +1468,12 @@ let generate_cmd =
       & info [ "mli" ]
           ~doc:"Also write the matching .mli next to the output file.")
   in
-  let run files builtin root start optimize config out mli =
+  let run files builtin root start _ config out mli =
     guarded @@ fun () ->
     match compose_from files builtin root start with
     | Error ds -> print_errors ds
     | Ok g -> (
-        let g = if optimize then Rats.Pipeline.optimize g else g in
-        match Rats.Emit.grammar_module ~config g with
+        match Rats.generate ~config g with
         | Error ds -> print_errors ds
         | Ok code ->
             (match out with

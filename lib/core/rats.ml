@@ -170,8 +170,8 @@ module Session = struct
   let cold_fallbacks t = t.cold_fallbacks
 end
 
-let generate ?(optimize = true) ?config g =
-  let g = if optimize then Pipeline.optimize g else g in
-  Emit.grammar_module ?config g
+let generate ?config g =
+  Result.bind (Driver.run (Pipeline.passes ()) g) (fun o ->
+      Emit.grammar_module ?config o.Driver.grammar)
 
 let version = "0.9.0"

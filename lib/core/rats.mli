@@ -185,8 +185,9 @@ module Session : sig
   (** How many reparses fell back to a cold parse for error reporting. *)
 end
 
-val generate :
-  ?optimize:bool -> ?config:Config.t -> Grammar.t -> string or_errors
-(** Emit a self-contained OCaml parser module for the grammar. *)
+val generate : ?config:Config.t -> Grammar.t -> string or_errors
+(** Emit a self-contained OCaml parser module for the grammar, after the
+    same gated pipeline {!parser_of} runs by default: an ill-formed
+    grammar fails here, before any code is emitted. *)
 
 val version : string

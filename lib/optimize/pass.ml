@@ -24,10 +24,10 @@ let terminals =
     ~doc:"unmemoize lexical-level productions"
     (fun ctx g -> Passes.mark_terminals ~ctx g)
 
-let inline ?threshold () =
+let inline =
   v ~name:"inline"
     ~doc:"inline small non-recursive productions, then prune"
-    (fun ctx g -> Passes.inline_pass ?threshold ~ctx g)
+    (fun ctx g -> Passes.inline_pass ~ctx g)
 
 let fold =
   v ~name:"fold"

@@ -46,9 +46,9 @@ val transients : t
 val terminals : t
 (** Unmemoize lexical-level productions. Attribute-only. *)
 
-val inline : ?threshold:int -> unit -> t
-(** Cost-based inlining of small non-recursive productions; the
-    [threshold] (default 12) is the maximum body size inlined. *)
+val inline : t
+(** Cost-based inlining of small non-recursive productions, at
+    {!Passes.inline_pass}'s default threshold. *)
 
 val fold : t
 (** Merge structurally identical private productions. *)

@@ -25,7 +25,7 @@ let step ?(passes = []) ?(config = Fun.id) ?(native_repetitions = false) label
    [ladder], [rml passes], the bench harness — is a prefix or a
    projection of this one ordered list; do not spell pass chains out
    anywhere else. *)
-let registry ?inline_threshold () =
+let registry () =
   [
     step "baseline" "desugared repetitions, hashtable memo of every production";
     step "+chunks" "memoize into per-position chunks instead of a hashtable"
@@ -41,7 +41,7 @@ let registry ?inline_threshold () =
     step "+repetitions" "repetitions run as loops instead of helper productions"
       ~native_repetitions:true;
     step "+inlining" "cost-based inlining of small non-recursive productions"
-      ~passes:[ Pass.inline ?threshold:inline_threshold () ];
+      ~passes:[ Pass.inline ];
     step "+folding" "structurally equal productions merged"
       ~passes:[ Pass.fold ];
     step "+factoring" "common prefixes of adjacent alternatives factored"
@@ -53,22 +53,19 @@ let registry ?inline_threshold () =
       ~config:(fun c -> { c with Config.lean_values = true });
   ]
 
-let passes ?inline_threshold () =
-  List.concat_map (fun s -> s.passes) (registry ?inline_threshold ())
+let passes () = List.concat_map (fun s -> s.passes) (registry ())
 
 let optional_passes = [ Pass.leftrec ]
 
-let all_passes ?inline_threshold () =
-  passes ?inline_threshold () @ optional_passes
+let all_passes () = passes () @ optional_passes
 
 let find_pass name =
   List.find_opt (fun (p : Pass.t) -> String.equal p.name name) (all_passes ())
 
-let optimize ?inline_threshold g =
-  (Driver.run_exn ~gate:false (passes ?inline_threshold ()) g).Driver.grammar
+let optimize g = (Driver.run_exn ~gate:false (passes ()) g).Driver.grammar
 
-let ladder ?inline_threshold g =
-  let steps = registry ?inline_threshold () in
+let ladder g =
+  let steps = registry () in
   let desugared = lazy (Desugar.expand_repetitions g) in
   let rec build index prefix config native acc = function
     | [] -> List.rev acc
@@ -82,8 +79,3 @@ let ladder ?inline_threshold g =
         build (index + 1) prefix config native (rung :: acc) rest
   in
   build 0 [] Config.packrat false [] steps
-
-let prepare_optimized ?inline_threshold g =
-  match Driver.run (passes ?inline_threshold ()) g with
-  | Error ds -> Error ds
-  | Ok o -> Rats_runtime.Engine.prepare ~config:Config.optimized o.Driver.grammar

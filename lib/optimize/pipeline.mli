@@ -29,44 +29,36 @@ type step = {
           (repetitions as engine loops, not helper productions) *)
 }
 
-val registry : ?inline_threshold:int -> unit -> step list
+val registry : unit -> step list
 (** The ten steps, in cumulative ladder order: baseline, +chunks,
     +transients, +terminals, +repetitions, +inlining, +folding,
     +factoring, +dispatch, +lean-values. The last rung's configuration
     is {!Rats_runtime.Config.optimized}. *)
 
-val passes : ?inline_threshold:int -> unit -> Pass.t list
+val passes : unit -> Pass.t list
 (** The default grammar-side pipeline: every pass of every registry
     step, in order (transients, terminals, inline, fold, factor,
-    prune). This is what {!optimize} and {!Rats_core}'s [parser_of]
-    run. *)
+    prune). This is what {!optimize} runs, and what [Rats.parser_of]
+    and [Rats.generate] run behind the driver's gate. *)
 
 val optional_passes : Pass.t list
 (** Registered passes that no default pipeline includes — currently the
     [leftrec] repair pass. Enabled by name via {!find_pass} (the CLI's
     [--leftrec] / [--passes] flags). *)
 
-val all_passes : ?inline_threshold:int -> unit -> Pass.t list
+val all_passes : unit -> Pass.t list
 (** {!passes} followed by {!optional_passes}: everything with a
     registered name, for listings and per-pass test suites. *)
 
 val find_pass : string -> Pass.t option
 (** Look a pass up by registry name, opt-in passes included. *)
 
-val ladder : ?inline_threshold:int -> Grammar.t -> rung list
+val ladder : Grammar.t -> rung list
 (** All rungs, each built by running the pass prefix of its registry
     steps through the {!Driver} (ungated — the ladder measures, it does
     not validate). *)
 
-val optimize : ?inline_threshold:int -> Grammar.t -> Grammar.t
+val optimize : Grammar.t -> Grammar.t
 (** Run {!passes} through the {!Driver} with the gate off: a pure
     grammar transformation that cannot fail. Pair with
     {!Rats_runtime.Config.optimized}. *)
-
-val prepare_optimized :
-  ?inline_threshold:int ->
-  Grammar.t ->
-  (Rats_runtime.Engine.t, Rats_support.Diagnostic.t list) result
-(** Convenience: run the gated driver (so ill-formed grammars fail fast
-    with diagnostics, before any optimization) and prepare an engine
-    with the fully optimized configuration. *)

@@ -14,6 +14,15 @@ let tile unit target =
   done;
   Buffer.contents b
 
+(* Promoted words are in both the minor and the major total.
+   [Gc.minor_words ()] is live; [Gc.quick_stat]'s copy is stale
+   between collections. *)
+let words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let word_bytes = float_of_int (Sys.word_size / 8)
+
 let bytes_per_parse ?(warmups = 2) ?(runs = 8) eng input =
   for _ = 1 to warmups do
     match (Engine.run_input eng input).Engine.result with
@@ -21,12 +30,11 @@ let bytes_per_parse ?(warmups = 2) ?(runs = 8) eng input =
     | Error e ->
         failwith ("Alloc_probe: probe parse failed: " ^ Parse_error.message e)
   done;
-  let a0 = Gc.allocated_bytes () in
+  let w0 = words () in
   for _ = 1 to runs do
     ignore (Engine.run_input eng input)
   done;
-  let a1 = Gc.allocated_bytes () in
-  (a1 -. a0) /. float_of_int runs
+  (words () -. w0) *. word_bytes /. float_of_int runs
 
 type rung = { r_name : string; r_grammar : Grammar.t; r_unit : string }
 

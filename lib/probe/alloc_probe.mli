@@ -2,7 +2,7 @@
 
     PR 7 proved both engines' core loops allocation-free on hand-built
     all-Void grammars; this probe closes the loop on {e voidified} real
-    grammars by measuring steady-state [Gc.allocated_bytes] deltas —
+    grammars by measuring steady-state allocation ({!words}) deltas —
     with warmed scratch pools — for a ladder of one-construct-at-a-time
     grammars. Each rung isolates one [Expr] form in the position real
     grammars use it (token captures, ranges yielding bytes, bindings
@@ -25,11 +25,18 @@ val voidify : Grammar.t -> Grammar.t
 val tile : string -> int -> string
 (** [tile unit target] repeats [unit] until at least [target] bytes. *)
 
+val words : unit -> float
+(** Words allocated so far: minor + major − promoted. A delta counts
+    every word once across any number of collections, which
+    [Gc.allocated_bytes] does not on OCaml 5.1. *)
+
+val word_bytes : float
+
 val bytes_per_parse :
   ?warmups:int -> ?runs:int -> Engine.t -> Rats_support.Input.t -> float
 (** Steady-state allocation of one parse: run [warmups] times to warm
     the engine-owned scratch pools (and fault on a parse error), then
-    average the [Gc.allocated_bytes] delta over [runs] further parses.
+    average the {!words} delta over [runs] further parses, in bytes.
     Parsing is deterministic, so the delta is exact, not sampled. *)
 
 type rung = {

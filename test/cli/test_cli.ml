@@ -284,7 +284,11 @@ let tests =
         Sys.remove expr;
         check Alcotest.int "exit" 3 code;
         check Alcotest.bool "error located" true (String.contains out '^');
-        check Alcotest.bool "table anyway" true (contains out "production"));
+        check Alcotest.bool "table anyway" true (contains out "production");
+        (* profile runs the grammar as written: the pipeline would
+           inline Number and Spacing away, rows and all *)
+        check Alcotest.bool "Number row" true (contains out "\n  Number ");
+        check Alcotest.bool "Spacing row" true (contains out "\n  Spacing "));
     test "trace renders ring events with positions" (fun () ->
         let expr = write_temp "1 + 2 * 3" in
         let code, out =
@@ -725,13 +729,35 @@ let telemetry_tests =
         Sys.remove expr;
         Sys.remove script;
         check Alcotest.int "exit" 0 code;
+        (* counts of the optimized grammar's three store slots per
+           position (Sum, Term, Factor) *)
         match json_lines out with
         | [ line ] ->
             check Alcotest.bool "memo reuse surfaced" true
-              (contains line "\"memo-reused\":9");
+              (contains line "\"memo-reused\":4");
             check Alcotest.bool "relocations surfaced" true
-              (contains line "\"memo-relocated\":7")
+              (contains line "\"memo-relocated\":3")
         | ls -> Alcotest.failf "expected 1 JSON line, got %d" (List.length ls));
+    test "parse runs the optimized grammar by default; -O changes nothing"
+      (fun () ->
+        let expr = write_temp "(1+2)*(3+4)-5/6" in
+        let code, out =
+          run (Printf.sprintf "parse -b calc -i %s -q --stats-json" expr)
+        in
+        let _, plain = run (Printf.sprintf "parse -b calc -i %s --stats" expr) in
+        let _, with_o =
+          run (Printf.sprintf "parse -b calc -i %s --stats -O" expr)
+        in
+        let _, gen = run "generate -b calc" in
+        let _, gen_o = run "generate -b calc -O" in
+        Sys.remove expr;
+        check Alcotest.int "exit" 0 code;
+        (* three slots per chunk: the pipeline leaves calc three memoized
+           productions (Sum, Term, Factor); as written it has eight *)
+        check Alcotest.bool "slots = 3 x chunks" true
+          (contains out "\"chunks\":3,\"slots\":9,");
+        check Alcotest.string "parse -O is a no-op" plain with_o;
+        check Alcotest.string "generate -O is a no-op" gen gen_o);
     test "batch JSONL schemas are pinned, field for field" (fun () ->
         with_corpus (fun manifest ->
             let code, out =

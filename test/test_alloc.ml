@@ -3,9 +3,9 @@
    steady-state bytes/parse is independent of input size. The probe's
    ladder isolates one construct per rung — a leak reintroduced in
    the engine fails here naming the construct, without waiting for
-   the E9 bench gate. The measurements are [Gc.allocated_bytes] deltas
-   over deterministic parses with warmed pools, so the numbers are
-   exact, not sampled: this suite is noise-free by construction. *)
+   the E9 bench gate. The measurements are [Probe.words] deltas over
+   deterministic parses with warmed pools, so the numbers are exact,
+   not sampled: this suite is noise-free by construction. *)
 
 open Rats
 module Probe = Rats_probe.Alloc_probe
@@ -129,9 +129,31 @@ let reference_tests =
               [ 1; 4 ]))
       corpora
 
+(* The counter itself, on loops whose allocation is known exactly:
+   small blocks that die young across many minor collections, and
+   blocks too large for the minor heap, allocated straight into the
+   major heap. The slack covers the readings' own tuples. *)
+let counter_tests =
+  let case name ~n ~len =
+    Alcotest.test_case name `Quick (fun () ->
+        let w0 = Probe.words () in
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Array.make len 0))
+        done;
+        let counted = Probe.words () -. w0 in
+        let expected = float_of_int (n * (len + 1)) in
+        if Float.abs (counted -. expected) > 64. then
+          Alcotest.failf "expected %.0f words, counted %.0f" expected counted)
+  in
+  [
+    case "minor-heap loop reads exactly" ~n:400_000 ~len:7;
+    case "major-heap loop reads exactly" ~n:2_000 ~len:1_000;
+  ]
+
 let () =
   Alcotest.run "alloc"
     [
+      ("counter", counter_tests);
       ("lean-ladder", ladder_tests);
       ("voidified", voidified_tests);
       ("reference", reference_tests);

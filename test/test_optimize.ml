@@ -763,11 +763,17 @@ let pipeline_tests =
         match (Engine.parse e1 src, Engine.parse e2 src) with
         | Ok a, Ok b -> check Alcotest.bool "equal" true (Value.equal a b)
         | _ -> Alcotest.fail "parse failure");
-    test "prepare_optimized end to end" (fun () ->
-        match Pipeline.prepare_optimized (Grammars.Json.grammar ()) with
+    test "parser_of end to end" (fun () ->
+        let g = Grammars.Json.grammar () in
+        match Rats.parser_of g with
         | Ok eng ->
             check Alcotest.bool "parses" true
-              (Engine.accepts eng {|{"a": [1, 2, null]}|})
+              (Engine.accepts eng {|{"a": [1, 2, null]}|});
+            check Alcotest.bool "optimized configuration" true
+              (Engine.config eng = Config.optimized);
+            check Alcotest.string "the pipeline's grammar"
+              (Pretty.grammar_to_string (Pipeline.optimize g))
+              (Pretty.grammar_to_string (Engine.grammar eng))
         | Error _ -> Alcotest.fail "prepare failed");
   ]
 
